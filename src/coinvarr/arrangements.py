@@ -88,6 +88,13 @@ def skip_arrangement(skips, n):
     return Arrangement(n, pairs)
 
 
+def subsets(items):
+    """Every subset of items as a frozenset, by size, then in combination order."""
+    items = list(items)
+    for r in range(len(items) + 1):
+        yield from (frozenset(c) for c in itertools.combinations(items, r))
+
+
 def _skipset(skips, n):
     skips = frozenset(skips)
     for j in skips:

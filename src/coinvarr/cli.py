@@ -11,7 +11,6 @@ configuration.
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import random
@@ -38,6 +37,7 @@ from .arrangements import (
     smallest_prime_above,
     staircase,
     staircase_monomials,
+    subsets,
 )
 from .derivations import (
     Derivation,
@@ -53,6 +53,7 @@ from .st_algebras import (
     classify,
     cospan_check,
     exact_sequence_check,
+    q_integer_product,
     verify_box_basis,
     verify_skip_quotient,
 )
@@ -92,7 +93,6 @@ class RunConfig:
     __slots__ = (
         "n",
         "workers",
-        "order",
         "prime",
         "degree_cap",
         "timings",
@@ -104,7 +104,6 @@ class RunConfig:
         self,
         n=None,
         workers=1,
-        order="grevlex",
         prime=None,
         degree_cap=4,
         timings=False,
@@ -119,11 +118,8 @@ class RunConfig:
             raise ValueError("degree cap must be positive")
         if prime is not None and prime < 2:
             raise ValueError("prime must be at least 2")
-        if order not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {order!r}")
         self.n = n
         self.workers = workers
-        self.order = order
         self.prime = prime
         self.degree_cap = degree_cap
         self.timings = timings
@@ -183,24 +179,6 @@ def _tparse(key):
     return out
 
 
-def _subsets(items):
-    items = list(items)
-    for r in range(len(items) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(items, r))
-
-
-def _q_integer_product(sizes):
-    # convolution of (1 + q + ... + q^(m-1)) factors, as a coefficient tuple
-    out = [1]
-    for m in sizes:
-        nxt = [0] * (len(out) + m - 1)
-        for i, c in enumerate(out):
-            for k in range(m):
-                nxt[i + k] += c
-        out = nxt
-    return tuple(out)
-
-
 # -- suites ------------------------------------------------------------------
 
 
@@ -220,7 +198,7 @@ class Suite:
 
 
 def _plan_staircase(cfg, top):
-    tasks = [(n, _jkey(J)) for n in range(1, top + 1) for J in _subsets(range(1, n + 1))]
+    tasks = [(n, _jkey(J)) for n in range(1, top + 1) for J in subsets(range(1, n + 1))]
     tasks.append((5, "display:staircase"))
     tasks.append((5, "display:skip-monomials"))
     tasks.append((3, "display:decorated-monomials"))
@@ -267,7 +245,7 @@ def _run_super_basis(n, key, cfg):
 
 
 def _plan_all_j(cfg, top):
-    return [(n, _jkey(J)) for n in range(1, top + 1) for J in _subsets(range(1, n + 1))]
+    return [(n, _jkey(J)) for n in range(1, top + 1) for J in subsets(range(1, n + 1))]
 
 
 def _count_all_j(cfg, top):
@@ -282,7 +260,7 @@ def _plan_colon(cfg, top):
     return [
         (n, _jkey(J))
         for n in range(1, top + 1)
-        for J in _subsets(range(2, n + 1))
+        for J in subsets(range(2, n + 1))
     ]
 
 
@@ -294,8 +272,8 @@ def _run_colon(n, key, cfg):
     J = _jparse(key)
     gens = skip_generators(J, n)
     coinv = Ideal(n, coinvariant_generators(n))
-    quotient = colon(coinv, skip_forms_product(J, n), cfg.order)
-    equal = ideal_equal(Ideal(n, gens), quotient, cfg.order)
+    quotient = colon(coinv, skip_forms_product(J, n))
+    equal = ideal_equal(Ideal(n, gens), quotient)
     return [
         ("regular-sequence", key, True, is_regular_sequence(gens, n)),
         ("colon-equality", key, "equal", "equal" if equal else "different"),
@@ -341,7 +319,7 @@ def _run_char_poly(n, key, cfg):
 def _plan_cospan(cfg, top):
     tasks = []
     for n in range(1, top + 1):
-        for T in _subsets(full_arrangement(n).sorted_pairs()):
+        for T in subsets(full_arrangement(n).sorted_pairs()):
             tasks.append((n, _tkey(T)))
     return tasks
 
@@ -351,7 +329,7 @@ def _count_cospan(cfg, top):
 
 
 def _run_cospan(n, key, cfg):
-    ok = cospan_check(_tparse(key), n, gb_cross_check=True)
+    ok = cospan_check(_tparse(key), n)
     return [("cospan", key, "agree", "agree" if ok else "split")]
 
 
@@ -378,8 +356,8 @@ def _run_southwest_quotient(n, key, cfg):
     for h in column_counts(A):
         want *= h
     return [
-        ("box-basis", key, True, verify_box_basis(A)),
-        ("hilbert-additivity", key, True, exact_sequence_check(A)),
+        ("box-basis", key, True, verify_box_basis(inst)),
+        ("hilbert-additivity", key, True, exact_sequence_check(inst)),
         ("st-dimension", key, want, inst.dimension),
     ]
 
@@ -404,7 +382,7 @@ def _run_trichotomy(n, key, cfg):
     return [
         ("trichotomy", key, "poincare-duality", inst.tag),
         ("st-dimension", key, math.factorial(n), inst.dimension),
-        ("hilbert-series", key, _q_integer_product(range(1, n + 1)), inst.hilbert),
+        ("hilbert-series", key, q_integer_product(range(1, n + 1)), inst.hilbert),
     ]
 
 
@@ -419,7 +397,7 @@ def _random_polynomial(rng, n, degree_cap):
 def _plan_symmetric(cfg, top):
     tasks = [((i % 3) + 1, f"poly-{i:03d}") for i in range(200)]
     for n in range(1, top + 1):
-        for A in _subsets(range(1, n + 1)):
+        for A in subsets(range(1, n + 1)):
             akey = "{" + ",".join(str(a) for a in sorted(A)) + "}"
             for total in range(1, cfg.degree_cap + 1):
                 for shape in partitions(total):
@@ -433,7 +411,7 @@ def _run_symmetric(n, key, cfg):
     if key.startswith("poly-"):
         index = int(key[len("poly-") :])
         seed = cfg.seed if cfg.seed is not None else 0
-        rng = random.Random((seed, index))
+        rng = random.Random(f"{seed}:{index}")
         f = _random_polynomial(rng, n, cfg.degree_cap)
         direct = steinberg_member(f)
         via_gb = Ideal(n, coinvariant_generators(n)).contains(f)
@@ -668,12 +646,6 @@ def _build_parser():
     verify.add_argument("--format", choices=["json", "csv"], default="json")
     verify.add_argument("--workers", type=int, default=1)
     verify.add_argument(
-        "--order",
-        choices=["grevlex", "lex"],
-        default="grevlex",
-        help="monomial order for the ideal computations the suites expose",
-    )
-    verify.add_argument(
         "--prime", type=int, default=None, help="override the point-count prime"
     )
     verify.add_argument("--degree-cap", type=int, default=4, dest="degree_cap")
@@ -706,7 +678,6 @@ def main(argv=None):
         cfg = RunConfig(
             n=args.n,
             workers=args.workers,
-            order=args.order,
             prime=args.prime,
             degree_cap=args.degree_cap,
             timings=args.timings,

@@ -242,26 +242,8 @@ def skip_basis(skips, n):
 
 def skip_generators(skips, n):
     """Polynomials obtained from skip_basis by sending every partial to 1."""
-    skips = frozenset(skips)
-    staircase(skips, n)
-    out = []
-    for i in range(1, n + 1):
-        below = [j for j in range(1, i) if j not in skips]
-        if i in skips:
-            xi = Polynomial.variable(n, i)
-            g = Polynomial.one(n)
-            for j in below:
-                g = g * (Polynomial.variable(n, j) - xi)
-        else:
-            g = Polynomial.zero(n)
-            for k in range(i, n + 1):
-                xk = Polynomial.variable(n, k)
-                term = xk
-                for j in below:
-                    term = term * (Polynomial.variable(n, j) - xk)
-                g = g + term
-        out.append(g)
-    return out
+    to_one = ones_map(n)
+    return [to_one(theta) for theta in skip_basis(skips, n)]
 
 
 def restrict_derivation(theta, p):

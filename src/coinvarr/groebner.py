@@ -101,13 +101,13 @@ def _monic(t, key):
     return {e: c / lc for e, c in t.items()}
 
 
-def groebner_basis(polys, order="grevlex", term_cap=None):
+def groebner_basis(polys, order="grevlex"):
     """Reduced Groebner basis of the ideal generated by polys.
 
     Returns a canonical list of monic Polynomials sorted by leading monomial.
     """
     key = order_key(order)
-    cap = term_cap if term_cap is not None else _env_cap()
+    cap = _env_cap()
     nonzero = [p for p in polys if p]
     if not nonzero:
         return []
@@ -340,18 +340,6 @@ class Ideal:
             counts[sum(e)] += 1
         return tuple(counts)
 
-    def graded_dimensions(self, cap, order="grevlex"):
-        """Quotient dimensions in degrees 0..cap (homogeneous generators)."""
-        for g in self.gens:
-            if not g.is_homogeneous():
-                raise ValueError("graded dimensions need homogeneous generators")
-        mons, _ = self.standard_monomials(cap=cap, order=order)
-        counts = [0] * (cap + 1)
-        for e in mons:
-            if sum(e) <= cap:
-                counts[sum(e)] += 1
-        return tuple(counts)
-
     def __repr__(self):
         inner = ", ".join(g.text() for g in self.gens)
         return f"Ideal({self.n}, [{inner}])"
@@ -374,7 +362,7 @@ def ideal_equal(I, J, order="grevlex"):
     return I.groebner(order) == J.groebner(order)
 
 
-def colon(I, f, order="grevlex"):
+def colon(I, f):
     """The colon ideal I : f = {g : f*g in I}.
 
     Route: if f in I the colon is the unit ideal outright.  Otherwise
@@ -411,11 +399,11 @@ def colon(I, f, order="grevlex"):
     return Ideal(n, quotients)
 
 
-def colon_by_factors(I, factors, order="grevlex"):
+def colon_by_factors(I, factors):
     """Iterated colon: I : (f1*f2*...*fk) = ((I : f1) : f2) ... : fk."""
     out = I
     for f in factors:
-        out = colon(out, f, order)
+        out = colon(out, f)
         if out.is_unit():
             return out
     return out

@@ -42,6 +42,7 @@ __all__ = [
     "verify_skip_quotient",
     "cospan_check",
     "colon_descent_check",
+    "q_integer_product",
 ]
 
 
@@ -92,18 +93,21 @@ def certified_basis(A):
     raise ValueError("no certified basis known for this arrangement")
 
 
-def _range_product(sizes, n):
-    # prod over the basis of (1 + q + ... + q^(m-1)), as a coefficient list
+def q_integer_product(sizes):
+    """Coefficients of prod over sizes of (1 + q + ... + q^(m-1)), as a tuple.
+
+    A size below one gives the empty tuple.
+    """
     out = [1]
     for m in sizes:
         if m < 1:
-            return []
+            return ()
         nxt = [0] * (len(out) + m - 1)
         for i, c in enumerate(out):
             for k in range(m):
                 nxt[i + k] += c
         out = nxt
-    return out
+    return tuple(out)
 
 
 def classify(target, cmap, basis=None):
@@ -125,7 +129,7 @@ def classify(target, cmap, basis=None):
         return STInstance(target, cmap, basis, ideal, "infinite", None, None)
     hilbert = ideal.hilbert_series()
     shifted = [theta.degree() + cmap.degree for theta in basis]
-    if list(hilbert) != _range_product(shifted, ideal.n):
+    if hilbert != q_integer_product(shifted):
         raise ArithmeticError("Hilbert series disagrees with the basis degrees")
     if tuple(hilbert) != tuple(reversed(hilbert)):
         raise ArithmeticError("Artinian quotient has a non-palindromic series")
@@ -141,44 +145,49 @@ def _coeff(h, k):
     return h[k] if 0 <= k < len(h) else 0
 
 
-def exact_sequence_check(A, p=None):
-    """Certify the deletion/restriction sequence at the coordinate form x_p.
+def _ones_map_arrangement(inst):
+    """The arrangement of an instance classified under ones_map, else raise."""
+    A = inst.target
+    if not isinstance(A, Arrangement) or inst.cmap.images != ones_map(A.n).images:
+        raise ValueError("the statement is about an arrangement under ones_map")
+    return A
 
-    True iff the graded dimensions satisfy big = q*deleted + restricted
-    coefficientwise (the zero algebra contributing nothing) and the
-    restricted ideal equals the big ideal plus (x_p), read in the surviving
-    variables.  p defaults to the largest coordinate index; the deletion
-    stays in the certified family only there.
+
+def exact_sequence_check(inst):
+    """Certify the deletion/restriction sequence of a classified instance.
+
+    inst is classify(A, ones_map(A.n)) for an essential southwest A; its
+    Hilbert series and ideal are read as they are, and only the deletion of
+    the largest coordinate form x_p and the restriction to x_p = 0 are
+    classified here.  The deletion stays in the certified family only at
+    that p.  True iff the graded dimensions satisfy big = q*deleted +
+    restricted coefficientwise (the zero algebra contributing nothing) and
+    the restricted ideal equals the big ideal plus (x_p), read in the
+    surviving variables.
     """
+    A = _ones_map_arrangement(inst)
     if not is_southwest(A) or not is_essential(A):
         raise ValueError("an essential southwest arrangement is required")
-    top = max_coordinate(A)
-    if top is None:
-        raise ValueError("no coordinate form to delete")
+    p = max_coordinate(A)
     if p is None:
-        p = top
-    if p != top:
-        raise ValueError("deletion is certified only at the largest coordinate")
+        raise ValueError("no coordinate form to delete")
+    small = classify(delete(A, (0, p)), inst.cmap)
     if A.n == 1:
         # The restriction lands in a zero-dimensional ambient space, where
         # the algebra is a single copy of the ground field.
-        big = classify(A, ones_map(1))
-        small = classify(delete(A, (0, 1)), ones_map(1))
-        return small.tag == "zero" and big.hilbert == (1,)
-    big = classify(A, ones_map(A.n))
-    small = classify(delete(A, (0, p)), ones_map(A.n))
+        return small.tag == "zero" and inst.hilbert == (1,)
     rest = classify(restrict_coordinate(A, p), ones_map(A.n - 1))
-    if big.hilbert is None or small.hilbert is None or rest.hilbert is None:
+    if inst.hilbert is None or small.hilbert is None or rest.hilbert is None:
         return False
-    width = max(len(big.hilbert), len(small.hilbert) + 1, len(rest.hilbert))
+    width = max(len(inst.hilbert), len(small.hilbert) + 1, len(rest.hilbert))
     for k in range(width):
-        if _coeff(big.hilbert, k) != _coeff(small.hilbert, k - 1) + _coeff(
+        if _coeff(inst.hilbert, k) != _coeff(small.hilbert, k - 1) + _coeff(
             rest.hilbert, k
         ):
             return False
     projected = Ideal(
         A.n - 1,
-        [g.set_var_zero(p).drop_var(p) for g in big.ideal.gens],
+        [g.set_var_zero(p).drop_var(p) for g in inst.ideal.gens],
     )
     return ideal_equal(projected, rest.ideal)
 
@@ -190,16 +199,17 @@ def _box_exponents(bounds):
     return sorted(itertools.product(*[range(b) for b in bounds]), reverse=True)
 
 
-def verify_box_basis(A):
+def verify_box_basis(inst):
     """Check the box monomials under the column counts form a quotient basis.
 
-    The quotient must be Artinian of dimension prod(h_i), and the normal
-    forms of the box monomials must be linearly independent; with matching
-    count that makes them a basis.
+    inst is classify(A, ones_map(A.n)) for an essential arrangement A.  Its
+    quotient must be Artinian of dimension prod(h_i), and the normal forms
+    of the box monomials must be linearly independent; with matching count
+    that makes them a basis.
     """
+    A = _ones_map_arrangement(inst)
     if not is_essential(A):
         raise ValueError("box bases are stated for essential arrangements")
-    inst = classify(A, ones_map(A.n))
     if inst.tag != "poincare-duality":
         return False
     h = column_counts(A)
@@ -240,13 +250,13 @@ def verify_skip_quotient(skips, n):
 # -- complement span ---------------------------------------------------------
 
 
-def cospan_check(pairs, n, gb_cross_check=False):
+def cospan_check(pairs, n):
     """Product of chosen forms lies in the symmetric ideal iff the rest
     of the forms fail to span the dual space; returns that biconditional.
 
-    Membership goes through the differential-operator pairing; with
-    gb_cross_check it must also agree with Groebner membership in the
-    ideal of elementary generators.
+    Membership goes through the differential-operator pairing, and it must
+    also agree with Groebner membership in the ideal of elementary
+    generators.
     """
     chosen = {tuple(p) for p in pairs}
     everything = full_arrangement(n).pairs
@@ -258,17 +268,15 @@ def cospan_check(pairs, n, gb_cross_check=False):
     member = steinberg_member(product)
     rest = [linear_form(p, n) for p in sorted(everything - chosen)]
     spans = rank_of_elements(rest) == n
-    if gb_cross_check:
-        gb_member = Ideal(n, coinvariant_generators(n)).contains(product)
-        if gb_member != member:
-            return False
+    if Ideal(n, coinvariant_generators(n)).contains(product) != member:
+        return False
     return member == (not spans)
 
 
 # -- colon descent between nested arrangements -------------------------------
 
 
-def colon_descent_check(A, B, cmap, basis_a=None, basis_b=None):
+def colon_descent_check(A, B, cmap):
     """Compare the small ideal with the big ideal coloned by the form ratio.
 
     Returns "holds" or "fails" when the two hypotheses are met: the big
@@ -278,9 +286,7 @@ def colon_descent_check(A, B, cmap, basis_a=None, basis_b=None):
     """
     if not set(B.pairs) <= set(A.pairs):
         raise ValueError("the second arrangement must sit inside the first")
-    if basis_a is None:
-        basis_a = certified_basis(A)
-    big = st_ideal(A, cmap, basis_a)
+    big = st_ideal(A, cmap, certified_basis(A))
     ratio = Polynomial.one(A.n)
     for p in sorted(A.pairs - B.pairs):
         ratio = ratio * linear_form(p, A.n)
@@ -288,7 +294,5 @@ def colon_descent_check(A, B, cmap, basis_a=None, basis_b=None):
         return "skipped"
     if big.contains(ratio):
         return "skipped"
-    if basis_b is None:
-        basis_b = certified_basis(B)
-    small = st_ideal(B, cmap, basis_b)
+    small = st_ideal(B, cmap, certified_basis(B))
     return "holds" if ideal_equal(small, colon(big, ratio)) else "fails"

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .arrangements import staircase_monomials
+from .arrangements import staircase_monomials, subsets
 from .polynomials import AmbientMismatch, Polynomial, grevlex_key
 
 
@@ -367,12 +367,10 @@ def fubini(n):
 
 
 def _skip_sets(n):
-    subsets = [
-        frozenset(c)
-        for r in range(n + 1)
-        for c in itertools.combinations(range(1, n + 1), r)
-    ]
-    return sorted(subsets, key=lambda J: (len(J), tuple(sorted(-j for j in J))))
+    return sorted(
+        subsets(range(1, n + 1)),
+        key=lambda J: (len(J), tuple(sorted(-j for j in J))),
+    )
 
 
 def artin_monomials(n):

@@ -172,7 +172,7 @@ def test_criterion_07_cospan_biconditional():
     for n in (2, 3, 4):
         seen = 0
         for T in _subsets(full_arrangement(n).sorted_pairs()):
-            ok = ok and cospan_check(T, n, gb_cross_check=True)
+            ok = ok and cospan_check(T, n)
             seen += 1
         counts.append(seen)
     ok = ok and counts == [8, 64, 1024]
@@ -184,14 +184,15 @@ def test_criterion_08_southwest_quotients():
     ok = True
     for n in range(1, 5):
         for A in enumerate_southwest(n, essential_only=True):
-            ok = ok and exact_sequence_check(A)
-            ok = ok and verify_box_basis(A)
-    inst = classify(EXAMPLE5, ones_map(5))
+            inst = classify(A, ones_map(A.n))
+            ok = ok and exact_sequence_check(inst)
+            ok = ok and verify_box_basis(inst)
+    inst = classify(EXAMPLE5, ones_map(EXAMPLE5.n))
     ok = ok and column_counts(EXAMPLE5) == (1, 2, 2, 3, 1)
     ok = ok and inst.dimension == 12
     ok = ok and inst.hilbert == _conv([2, 2, 3]) == (1, 3, 4, 3, 1)
     ok = ok and inst.hilbert == tuple(reversed(inst.hilbert))
-    ok = ok and exact_sequence_check(EXAMPLE5) and verify_box_basis(EXAMPLE5)
+    ok = ok and exact_sequence_check(inst) and verify_box_basis(inst)
     _gate(8, "additivity and box bases, essential southwest", ok, time.perf_counter() - start, 600.0)
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from coinvarr import cli
+from coinvarr import cli, st_algebras
+from coinvarr.arrangements import format_arrangement, full_arrangement
 from coinvarr.cli import (
     RunConfig,
     SUITES,
@@ -13,6 +14,7 @@ from coinvarr.cli import (
     run_suite,
 )
 from coinvarr.polynomials import Polynomial
+from coinvarr.st_algebras import classify
 
 
 def test_canon_values():
@@ -42,8 +44,6 @@ def test_run_config_validation():
         RunConfig(degree_cap=0)
     with pytest.raises(ValueError):
         RunConfig(prime=1)
-    with pytest.raises(ValueError):
-        RunConfig(order="weird")
 
 
 def test_run_suite_unknown_name():
@@ -117,6 +117,29 @@ def test_workers_do_not_change_reports():
     serial = run_suite("skip-quotient", RunConfig(n=3))
     pooled = run_suite("skip-quotient", RunConfig(n=3, workers=2))
     assert serial == pooled
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_runs_and_passes(name):
+    reports = run_suite(name, RunConfig(n=2))
+    assert reports
+    assert all(r["pass"] for r in reports)
+
+
+def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
+    # A itself once, then its deletion and its restriction
+    calls = []
+
+    def counted(target, cmap, basis=None):
+        calls.append(target)
+        return classify(target, cmap, basis)
+
+    monkeypatch.setattr(cli, "classify", counted)
+    monkeypatch.setattr(st_algebras, "classify", counted)
+    key = format_arrangement(full_arrangement(3))
+    rows = SUITES["southwest-quotient"].run(3, key, RunConfig())
+    assert [r[0] for r in rows] == ["box-basis", "hilbert-additivity", "st-dimension"]
+    assert len(calls) == 3
 
 
 def test_caps_clamp_without_exhaustive():

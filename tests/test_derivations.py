@@ -398,14 +398,6 @@ def test_skip_generators_fixtures():
         assert gens[0] == sum(variables(n), Polynomial.zero(n))
 
 
-def test_skip_generators_are_mapped_basis():
-    for n in range(1, 5):
-        for r in range(0, n + 1):
-            for skips in itertools.combinations(range(1, n + 1), r):
-                mapped = [ones_map(n)(t) for t in skip_basis(skips, n)]
-                assert mapped == skip_generators(skips, n)
-
-
 def test_skip_generators_colon_instance():
     # one instance of the generating-set theorem; the acceptance suite
     # sweeps every skip set at n <= 4

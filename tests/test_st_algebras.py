@@ -140,11 +140,16 @@ def test_classify_dimension_is_column_product():
 # -- short exact sequence ----------------------------------------------------
 
 
+def ones_instance(A):
+    return classify(A, ones_map(A.n))
+
+
 def test_exact_sequence_full_n2():
     A = full_arrangement(2)
-    assert exact_sequence_check(A)
+    inst = ones_instance(A)
+    assert exact_sequence_check(inst)
     # the three series by hand: (1,1) = q*(1,) + (1,)
-    assert classify(A, ones_map(2)).hilbert == (1, 1)
+    assert inst.hilbert == (1, 1)
     assert classify(delete(A, (0, 2)), ones_map(2)).hilbert == (1,)
 
 
@@ -152,47 +157,45 @@ def test_exact_sequence_singleton_column_isomorphism():
     # both coordinate lines only: deleting the last one kills essentiality,
     # so the projection onto the restriction is an isomorphism
     A = Arrangement(2, [(0, 1), (0, 2)])
-    assert exact_sequence_check(A)
+    assert exact_sequence_check(ones_instance(A))
     assert classify(delete(A, (0, 2)), ones_map(2)).tag == "zero"
 
 
 def test_exact_sequence_running_example():
-    assert exact_sequence_check(EXAMPLE5)
-    assert exact_sequence_check(EXAMPLE5, p=2)
+    assert exact_sequence_check(ones_instance(EXAMPLE5))
 
 
 def test_exact_sequence_lowest_case():
-    assert exact_sequence_check(Arrangement(1, [(0, 1)]))
+    assert exact_sequence_check(ones_instance(Arrangement(1, [(0, 1)])))
 
 
 def test_exact_sequence_validation():
     with pytest.raises(ValueError):
-        exact_sequence_check(braid_arrangement(3))  # not essential
+        exact_sequence_check(ones_instance(braid_arrangement(3)))  # not essential
     with pytest.raises(ValueError):
-        exact_sequence_check(Arrangement(2, [(0, 2), (1, 2)]))  # not southwest
-    with pytest.raises(ValueError):
-        exact_sequence_check(full_arrangement(3), p=1)  # not the largest
+        # essential, but x3 is present without x2: not southwest
+        exact_sequence_check(ones_instance(skip_arrangement({2}, 3)))
 
 
 def test_exact_sequence_sweep_n3():
     for A in enumerate_southwest(3, essential_only=True):
-        assert exact_sequence_check(A)
+        assert exact_sequence_check(ones_instance(A))
 
 
 # -- box monomial bases ------------------------------------------------------
 
 
 def test_box_basis_full_n2():
-    assert verify_box_basis(full_arrangement(2))
+    inst = ones_instance(full_arrangement(2))
+    assert verify_box_basis(inst)
     # under h = (1, 2) the box is {1, x2}
-    inst = classify(full_arrangement(2), ones_map(2))
     nf = inst.ideal.normal_form
     x1, x2 = variables(2)
     assert nf(x1) == -x2  # x1 + x2 lies in the ideal
 
 
 def test_box_basis_running_example():
-    assert verify_box_basis(EXAMPLE5)
+    assert verify_box_basis(ones_instance(EXAMPLE5))
 
 
 def test_box_basis_skips_unit_columns():
@@ -206,12 +209,22 @@ def test_box_basis_skips_unit_columns():
 
 def test_box_basis_requires_essential():
     with pytest.raises(ValueError):
-        verify_box_basis(braid_arrangement(2))
+        verify_box_basis(ones_instance(braid_arrangement(2)))
 
 
 def test_box_basis_sweep_n3():
     for A in enumerate_southwest(3, essential_only=True):
-        assert verify_box_basis(A)
+        assert verify_box_basis(ones_instance(A))
+
+
+def test_southwest_checks_require_ones_map():
+    # box bases and additivity are statements about the ones_map quotient
+    inst = classify(full_arrangement(2), coords_map(2))
+    assert inst.tag == "poincare-duality"
+    with pytest.raises(ValueError):
+        verify_box_basis(inst)
+    with pytest.raises(ValueError):
+        exact_sequence_check(inst)
 
 
 # -- staircase quotient bases ------------------------------------------------
@@ -260,7 +273,7 @@ def test_skip_quotient_dimension_matches_staircase():
 def test_cospan_hand_cases_n2():
     pairs = full_arrangement(2).sorted_pairs()
     for T in subsets(pairs):
-        assert cospan_check(T, 2, gb_cross_check=True)
+        assert cospan_check(T, 2)
 
 
 def test_cospan_edges():
@@ -273,7 +286,7 @@ def test_cospan_edges():
 def test_cospan_exhaustive_n3():
     pairs = full_arrangement(3).sorted_pairs()
     for T in subsets(pairs):
-        assert cospan_check(T, 3, gb_cross_check=True)
+        assert cospan_check(T, 3)
 
 
 # -- colon descent -----------------------------------------------------------
