@@ -16,6 +16,7 @@ import math
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .arrangements import (
@@ -239,7 +240,7 @@ def _plan_per_n(cfg, top):
 def _run_super_basis(n, key, cfg):
     table = sr_bigraded_dimensions(n)
     return [
-        ("sr-basis", key, True, verify_sr_basis(n)),
+        ("sr-basis", key, True, verify_sr_basis(n, table)),
         ("sr-dimension", key, fubini(n), sum(table.values())),
     ]
 
@@ -546,9 +547,14 @@ SUITES = {
 
 
 def _execute(task):
+    """Run one task; an exception becomes a failing error row, not a crash."""
     name, n, key, cfg = task
     start = time.perf_counter()
-    rows = SUITES[name].run(n, key, cfg)
+    try:
+        rows = SUITES[name].run(n, key, cfg)
+    except Exception as exc:
+        sys.stderr.write(f"coinvarr: {name} n={n} {key}\n{traceback.format_exc()}")
+        rows = [("error", key, "ok", type(exc).__name__)]
     ms = int((time.perf_counter() - start) * 1000) if cfg.timings else 0
     return [(check, n, instance, expected, actual, ms) for check, instance, expected, actual in rows]
 

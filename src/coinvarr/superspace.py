@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .arrangements import staircase_monomials, subsets
 from .polynomials import AmbientMismatch, Polynomial, grevlex_key
@@ -330,32 +330,55 @@ def invariant_ideal_rows(n, i, j):
 def rank_of_elements(elements):
     """Rank over the rationals of the span of the given elements.
 
-    Sparse Gaussian elimination with monic pivot rows; columns are the
-    monomial keys in their natural tuple order, so the result is
-    deterministic and exact.
+    The elements are SuperElements or Polynomials with rational
+    coefficients.  Each row is scaled to integers by the lcm of its
+    denominators and reduced by fraction-free sparse elimination
+    (row = a*row - b*pivot, with a and b coprime); pivot rows are stored
+    primitive.  Nonzero row scaling leaves the span's rank unchanged, so
+    the result is exact.  Columns are the monomial keys in their natural
+    tuple order, renumbered as ints so that lookups hash small keys.  Once
+    every column holds a pivot the remaining rows can only reduce to zero,
+    so elimination stops there.
     """
+    elements = list(elements)
+    keys = sorted({key for elem in elements for key in elem.terms})
+    index = {key: col for col, key in enumerate(keys)}
     pivots = {}
-    rank = 0
     for elem in elements:
-        row = dict(elem.terms)
+        if len(pivots) == len(keys):
+            break
+        terms = elem.terms
+        scale = lcm(*(c.denominator for c in terms.values()))
+        row = {
+            index[key]: c.numerator * (scale // c.denominator)
+            for key, c in terms.items()
+        }
         while row:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                inv = Fraction(1) / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                rank += 1
+                content = gcd(*row.values())
+                if content != 1:
+                    row = {c: v // content for c, v in row.items()}
+                pivots[col] = row
                 break
-            factor = row.pop(col)
+            a = piv[col]
+            b = row.pop(col)
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in piv.items():
                 if c == col:
                     continue
-                s = row.get(c, 0) - factor * v
+                s = row.get(c, 0) - b * v
                 if s:
                     row[c] = s
                 else:
-                    row.pop(c, None)
-    return rank
+                    del row[c]
+    return len(pivots)
 
 
 def fubini(n):
@@ -397,9 +420,11 @@ def sr_bigraded_dimensions(n):
     return table
 
 
-def verify_sr_basis(n):
+def verify_sr_basis(n, table):
     """Certify the decorated staircase monomials as a quotient basis.
 
+    table is sr_bigraded_dimensions(n), whose ideal-piece ranks are read
+    back as dim_bidegree - table[(i, j)] rather than eliminated again.
     Works bidegree by bidegree: the candidate monomials of each bidegree
     must be independent from the ideal piece (stacked rank adds their
     count) and must exactly exhaust the quotient dimension; the grand
@@ -412,14 +437,15 @@ def verify_sr_basis(n):
     total = 0
     for i in range(n * (n - 1) // 2 + 1):
         for j in range(n + 1):
-            rows = invariant_ideal_rows(n, i, j)
-            rank = rank_of_elements(rows)
-            quotient_dim = dim_bidegree(n, i, j) - rank
+            quotient_dim = table[(i, j)]
             candidates = buckets.get((i, j), [])
             if quotient_dim != len(candidates):
                 return False
             if candidates:
-                stacked = rows + [SuperElement.monomial(m) for m in candidates]
+                rank = dim_bidegree(n, i, j) - quotient_dim
+                stacked = invariant_ideal_rows(n, i, j) + [
+                    SuperElement.monomial(m) for m in candidates
+                ]
                 if rank_of_elements(stacked) != rank + len(candidates):
                     return False
             total += quotient_dim

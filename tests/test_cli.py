@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coinvarr import cli, st_algebras
+from coinvarr import cli, st_algebras, superspace
 from coinvarr.arrangements import format_arrangement, full_arrangement
 from coinvarr.cli import (
     RunConfig,
@@ -13,8 +13,10 @@ from coinvarr.cli import (
     make_report,
     run_suite,
 )
+from coinvarr.groebner import GroebnerResourceError
 from coinvarr.polynomials import Polynomial
 from coinvarr.st_algebras import classify
+from coinvarr.superspace import rank_of_elements
 
 
 def test_canon_values():
@@ -140,6 +142,42 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
     rows = SUITES["southwest-quotient"].run(3, key, RunConfig())
     assert [r[0] for r in rows] == ["box-basis", "hilbert-additivity", "st-dimension"]
     assert len(calls) == 3
+
+
+def test_super_basis_task_ranks_each_piece_once(monkeypatch):
+    # 16 ideal pieces at n = 3, plus one stacked rank per bidegree of the
+    # 8 that hold candidate monomials
+    calls = []
+
+    def counted(elements):
+        calls.append(len(elements))
+        return rank_of_elements(elements)
+
+    monkeypatch.setattr(superspace, "rank_of_elements", counted)
+    rows = SUITES["super-basis"].run(3, "n=3", RunConfig())
+    assert rows == [("sr-basis", "n=3", True, True), ("sr-dimension", "n=3", 13, 13)]
+    assert len(calls) == 24
+
+
+def test_task_exception_becomes_error_row(monkeypatch, tmp_path):
+    original = SUITES["trichotomy"].run
+
+    def flaky(n, key, cfg):
+        if key == "fixture:line":
+            raise GroebnerResourceError("term cap exceeded")
+        return original(n, key, cfg)
+
+    monkeypatch.setattr(SUITES["trichotomy"], "run", flaky)
+    out = tmp_path / "report.json"
+    assert main(["verify", "trichotomy", "--n", "2", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    errors = [r for r in data if r["check"] == "error"]
+    assert errors == [
+        make_report("error", 2, "fixture:line", "ok", "GroebnerResourceError")
+    ]
+    others = [r for r in data if r["check"] != "error"]
+    assert {r["instance"] for r in others} == {"fixture:empty", "fixture:full"}
+    assert len(others) == 1 + 2 * 3 and all(r["pass"] for r in others)
 
 
 def test_caps_clamp_without_exhaustive():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from coinvarr.polynomials import AmbientMismatch
+from coinvarr.groebner import Ideal
+from coinvarr.polynomials import AmbientMismatch, Polynomial
 from coinvarr.superspace import (
     SuperElement,
     SuperMonomial,
@@ -23,6 +24,7 @@ from coinvarr.superspace import (
     super_monomials,
     verify_sr_basis,
 )
+from coinvarr.symmetric import coinvariant_generators
 
 
 def _x(n, i):
@@ -35,7 +37,7 @@ def _t(n, i):
     return SuperElement.theta(n, i)
 
 
-def _random_element(rng, n, max_deg=3, terms=4):
+def _random_element(rng, n, max_deg=3, terms=4, coeff=lambda rng: rng.randint(-3, 3)):
     out = SuperElement.zero(n)
     for _ in range(terms):
         exps = [0] * n
@@ -45,7 +47,7 @@ def _random_element(rng, n, max_deg=3, terms=4):
             sorted(i for i in range(1, n + 1) if rng.random() < 0.4)
         )
         mono = SuperMonomial(tuple(exps), thetas)
-        out = out + SuperElement.monomial(mono, rng.randint(-3, 3))
+        out = out + SuperElement.monomial(mono, coeff(rng))
     return out
 
 
@@ -199,6 +201,54 @@ def test_rank_matches_dense_oracle():
     e = SuperElement.one(2)
     assert rank_of_elements([z, z]) == 0
     assert rank_of_elements([e, e, 2 * e]) == 1
+    q = _x(2, 1) * Fraction(3, 5) + _t(2, 2) * Fraction(-7, 11)
+    big = Fraction(10**40 + 1, 10**20 + 3)
+    assert rank_of_elements([]) == 0
+    assert rank_of_elements([z, q, z, q, q]) == 1
+    assert rank_of_elements([q, q * big, q * Fraction(-1, 9)]) == 1
+    assert rank_of_elements([q * big, _t(2, 2), q]) == 2
+
+
+def _random_fraction(rng):
+    # mixed denominators, and now and then a numerator far beyond a machine word
+    num = rng.choice([rng.randint(-9, 9), rng.randint(-(10**30), 10**30)])
+    return Fraction(num, rng.choice([1, 2, 3, 4, 6, 7, 9, 10, 12, 35, 10**18 + 9]))
+
+
+def test_rank_matches_dense_oracle_on_rational_rows():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        elems = [
+            _random_element(rng, n, 2, rng.randint(1, 4), _random_fraction)
+            for _ in range(rng.randint(1, 6))
+        ]
+        # rational combinations of earlier rows keep the rank but not the shape
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(elems), rng.choice(elems)
+            elems.append(a * _random_fraction(rng) + b * _random_fraction(rng))
+        rng.shuffle(elems)
+        assert rank_of_elements(elems) == _dense_rank(elems)
+
+
+def test_rank_matches_dense_oracle_on_polynomials():
+    # normal forms modulo the coinvariant ideal, as the quotient checks use
+    rng = random.Random(47)
+    n = 3
+    ideal = Ideal(n, coinvariant_generators(n))
+    for _ in range(10):
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.randint(0, 3) for _ in range(n))
+                terms[exps] = _random_fraction(rng)
+            rows.append(ideal.normal_form(Polynomial(n, terms)))
+        assert rank_of_elements(rows) == _dense_rank(rows)
+    x1, x2 = Polynomial.variable(n, 1), Polynomial.variable(n, 2)
+    f = x1 * Fraction(2, 3) - x2 * Fraction(5, 7)
+    assert rank_of_elements([f, f * Fraction(-21, 4)]) == 1
+    assert rank_of_elements([f, f * Fraction(-21, 4), x1]) == 2
 
 
 def test_ideal_pieces_cross_checked_against_dense_rank():
@@ -291,9 +341,12 @@ def test_bigraded_dimensions_match_monomial_bidegrees():
 
 
 def test_verify_sr_basis_small():
-    assert verify_sr_basis(1)
-    assert verify_sr_basis(2)
-    assert verify_sr_basis(3)
+    for n in (1, 2, 3):
+        assert verify_sr_basis(n, sr_bigraded_dimensions(n))
+    # a table that disagrees with the candidate monomials fails
+    table = sr_bigraded_dimensions(2)
+    table[(0, 1)] += 1
+    assert not verify_sr_basis(2, table)
 
 
 def test_stacked_rank_check_has_teeth():
