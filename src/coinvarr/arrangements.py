@@ -19,9 +19,8 @@ prefix interval.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .polynomials import Polynomial, lex_key, variables
+from .polynomials import Polynomial, coeff_div, lex_key, variables
 
 
 class Arrangement:
@@ -153,7 +152,7 @@ def defining_polynomial(A):
     if q:
         _, lc = q.leading(lex_key)
         if lc != 1:
-            q = q * (Fraction(1) / lc)
+            q = q * coeff_div(1, lc)
     return q
 
 

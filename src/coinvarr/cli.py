@@ -48,7 +48,7 @@ from .derivations import (
     skip_generators,
     southwest_basis,
 )
-from .groebner import Ideal, colon, ideal_equal, is_regular_sequence
+from .groebner import _GB_CACHE, Ideal, colon, ideal_equal, is_regular_sequence
 from .polynomials import Polynomial
 from .st_algebras import (
     classify,
@@ -567,22 +567,26 @@ def run_suite(name, cfg):
     top = cfg.n if cfg.n is not None else suite.default_n
     allowed = suite.cap if cfg.exhaustive else suite.default_n
     top = min(top, allowed)
-    tasks = suite.plan(cfg, top)
-    if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
-        rng = random.Random(cfg.seed)
-        tasks = sorted(rng.sample(tasks, SAMPLE_CAP))
-    elif suite.count is not None:
-        want = suite.count(cfg, top)
-        if len(tasks) != want:
-            raise RuntimeError(
-                f"suite {name} planned {len(tasks)} instances, expected {want}"
-            )
-    tasks = [(name, n, key, cfg) for n, key in tasks]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_execute, tasks, chunksize=8))
-    else:
-        chunks = [_execute(t) for t in tasks]
+    # the Groebner basis cache lives for one suite, not for the process
+    try:
+        tasks = suite.plan(cfg, top)
+        if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
+            rng = random.Random(cfg.seed)
+            tasks = sorted(rng.sample(tasks, SAMPLE_CAP))
+        elif suite.count is not None:
+            want = suite.count(cfg, top)
+            if len(tasks) != want:
+                raise RuntimeError(
+                    f"suite {name} planned {len(tasks)} instances, expected {want}"
+                )
+        tasks = [(name, n, key, cfg) for n, key in tasks]
+        if cfg.workers > 1:
+            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+                chunks = list(pool.map(_execute, tasks, chunksize=8))
+        else:
+            chunks = [_execute(t) for t in tasks]
+    finally:
+        _GB_CACHE.clear()
     reports = [
         make_report(check, n, instance, expected, actual, ms)
         for chunk in chunks

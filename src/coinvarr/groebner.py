@@ -20,11 +20,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from fractions import Fraction
 
 from .polynomials import (
     AmbientMismatch,
     Polynomial,
+    coeff_div,
     exact_divide,
     grevlex_key,
     lex_key,
@@ -98,7 +98,7 @@ def _monic(t, key):
     lc = t[max(t, key=key)]
     if lc == 1:
         return dict(t)
-    return {e: c / lc for e, c in t.items()}
+    return {e: coeff_div(c, lc) for e, c in t.items()}
 
 
 def groebner_basis(polys, order="grevlex"):
@@ -178,8 +178,8 @@ def groebner_basis(polys, order="grevlex"):
         if skip:
             continue
         s = {}
-        _sub_scaled(s, basis[i], Fraction(-1), tuple(a - b for a, b in zip(lcm, li)))
-        _sub_scaled(s, basis[j], Fraction(1), tuple(a - b for a, b in zip(lcm, lj)))
+        _sub_scaled(s, basis[i], -1, tuple(a - b for a, b in zip(lcm, li)))
+        _sub_scaled(s, basis[j], 1, tuple(a - b for a, b in zip(lcm, lj)))
         h = _nf_dict(s, list(zip(leads, basis)), key)
         if h:
             idx = push(h, sugar)
@@ -199,7 +199,7 @@ def groebner_basis(polys, order="grevlex"):
         t = _nf_dict(basis[i], others, key)
         reduced.append(_monic(t, key))
     reduced.sort(key=lambda t: key(max(t, key=key)))
-    return [Polynomial(n, t) for t in reduced]
+    return [Polynomial._from_terms(n, t) for t in reduced]
 
 
 def normal_form(f, basis, order="grevlex"):
@@ -208,7 +208,7 @@ def normal_form(f, basis, order="grevlex"):
     prepared = [
         (max(p.terms, key=key), _monic(p.terms, key)) for p in basis if p
     ]
-    return Polynomial(f.n, _nf_dict(f.terms, prepared, key))
+    return Polynomial._from_terms(f.n, _nf_dict(f.terms, prepared, key))
 
 
 def s_polynomial(f, g, order="grevlex"):
@@ -216,13 +216,15 @@ def s_polynomial(f, g, order="grevlex"):
     lf, cf = f.leading(key)
     lg, cg = g.leading(key)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = Polynomial.monomial(f.n, tuple(a - b for a, b in zip(lcm, lf)), Fraction(1, 1) / cf)
-    mg = Polynomial.monomial(g.n, tuple(a - b for a, b in zip(lcm, lg)), Fraction(1, 1) / cg)
+    mf = Polynomial.monomial(f.n, tuple(a - b for a, b in zip(lcm, lf)), coeff_div(1, cf))
+    mg = Polynomial.monomial(g.n, tuple(a - b for a, b in zip(lcm, lg)), coeff_div(1, cg))
     return mf * f - mg * g
 
 
 # -- ideals ------------------------------------------------------------------
 
+# reduced bases keyed by (n, order, generator set); cli.run_suite empties it
+# when a suite ends
 _GB_CACHE = {}
 
 

@@ -1,10 +1,14 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A Polynomial fixes the ambient variable count n and stores its terms as a
-dict mapping exponent tuples of length n to nonzero Fraction coefficients.
-Coefficients are always Fractions; there are no floats anywhere.  Mixing
-polynomials with different ambient n raises AmbientMismatch rather than
-guessing a coercion.
+dict mapping exponent tuples of length n to nonzero coefficients.  Every
+coefficient is an int or a Fraction, never a float: the public constructor
+stores an integral value as an int, and coefficient division goes through
+coeff_div, because int / int would be a float.  Arithmetic on non-integral
+coefficients may leave a Fraction with denominator 1; it compares and hashes
+equal to the int, so equality, hashing and text() do not see the difference.
+Mixing polynomials with different ambient n raises AmbientMismatch rather
+than guessing a coercion.
 
 Monomial order comparators (lex, grevlex) are exposed as standalone key
 functions on exponent tuples so that Groebner code and canonical printing
@@ -37,11 +41,23 @@ def grevlex_key(exps):
 
 
 def _coerce(c):
-    if isinstance(c, Fraction):
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected int or Fraction coefficient, got {type(c).__name__}")
+
+
+def coeff_div(a, b):
+    """Exact quotient a / b of int or Fraction coefficients.
+
+    An int when b divides a, a Fraction otherwise; never the float that
+    int / int gives.
+    """
+    q, r = divmod(a, b)
+    return q if not r else Fraction(a, b)
 
 
 class Polynomial:
@@ -65,6 +81,20 @@ class Polynomial:
                 clean[exps] = c
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _from_terms(cls, n, terms):
+        """Wrap an already-clean term dict without checking or copying it.
+
+        The caller guarantees that every key is a length-n tuple of
+        nonnegative ints, that every value is a nonzero int or Fraction, and
+        that nothing else keeps or mutates the dict: the polynomial owns it.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        self._hash = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -127,12 +157,12 @@ class Polynomial:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        return Polynomial(self.n, out)
+        return Polynomial._from_terms(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -147,7 +177,8 @@ class Polynomial:
             c = _coerce(other)
             if not c:
                 return Polynomial.zero(self.n)
-            return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
+            out = {e: c * v for e, v in self.terms.items()}
+            return Polynomial._from_terms(self.n, out)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
@@ -160,7 +191,7 @@ class Polynomial:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return Polynomial(self.n, out)
+        return Polynomial._from_terms(self.n, out)
 
     __rmul__ = __mul__
 
@@ -217,7 +248,7 @@ class Polynomial:
                 f = list(e)
                 f[i - 1] -= 1
                 out[tuple(f)] = c * e[i - 1]
-        return Polynomial(self.n, out)
+        return Polynomial._from_terms(self.n, out)
 
     # -- substitution ------------------------------------------------------
 
@@ -396,7 +427,7 @@ def exact_divide(f, g, key=grevlex_key):
         if any(ei < gi for ei, gi in zip(e, ge)):
             return None
         shift = tuple(ei - gi for ei, gi in zip(e, ge))
-        q = c / gc
+        q = coeff_div(c, gc)
         quot[shift] = q
         for e2, c2 in g.terms.items():
             if e2 == ge:
@@ -407,7 +438,7 @@ def exact_divide(f, g, key=grevlex_key):
                 work[key2] = s
             else:
                 work.pop(key2, None)
-    return Polynomial(f.n, quot)
+    return Polynomial._from_terms(f.n, quot)
 
 
 def divides(g, f):

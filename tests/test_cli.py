@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coinvarr import cli, st_algebras, superspace
+from coinvarr import cli, groebner, st_algebras, superspace
 from coinvarr.arrangements import format_arrangement, full_arrangement
 from coinvarr.cli import (
     RunConfig,
@@ -13,7 +13,7 @@ from coinvarr.cli import (
     make_report,
     run_suite,
 )
-from coinvarr.groebner import GroebnerResourceError
+from coinvarr.groebner import GroebnerResourceError, Ideal
 from coinvarr.polynomials import Polynomial
 from coinvarr.st_algebras import classify
 from coinvarr.superspace import rank_of_elements
@@ -51,6 +51,28 @@ def test_run_config_validation():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("no-such-suite", RunConfig(n=2))
+
+
+def _fill_groebner_cache():
+    x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    Ideal(2, [x1 + x2, x1 * x2]).groebner()
+    assert groebner._GB_CACHE
+
+
+def test_run_suite_empties_the_groebner_cache(monkeypatch):
+    _fill_groebner_cache()
+    reports = run_suite("cospan", RunConfig(n=2))
+    assert reports and all(r["pass"] for r in reports)
+    assert not groebner._GB_CACHE
+
+    def failing_plan(cfg, top):
+        _fill_groebner_cache()
+        raise RuntimeError("plan failed")
+
+    monkeypatch.setattr(SUITES["staircase"], "plan", failing_plan)
+    with pytest.raises(RuntimeError):
+        run_suite("staircase", RunConfig(n=2))
+    assert not groebner._GB_CACHE
 
 
 def test_staircase_suite_counts_and_passes():

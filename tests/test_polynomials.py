@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from coinvarr.groebner import groebner_basis, normal_form
 from coinvarr.polynomials import (
     AmbientMismatch,
     Polynomial,
+    coeff_div,
     diffop_apply,
     divides,
     exact_divide,
@@ -46,6 +48,71 @@ def test_constructors_and_equality():
     assert Polynomial(2, {(0, 0): 0}) == Polynomial.zero(2)
     assert x1 != Polynomial.variable(3, 2)
     assert hash(x1) == hash(Polynomial.variable(3, 1))
+
+
+def test_public_constructor_validates_terms():
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 2.0})
+    with pytest.raises(TypeError):
+        Polynomial.variable(2, 1) * 0.5
+    with pytest.raises(AmbientMismatch):
+        Polynomial(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError) as err:
+        Polynomial(2, {(1, -1): 1})
+    assert not isinstance(err.value, AmbientMismatch)
+    with pytest.raises(ValueError):
+        Polynomial(-1)
+
+
+def _assert_exact_coefficients(*polys):
+    for p in polys:
+        for c in p.terms.values():
+            assert type(c) in (int, Fraction), (p, c, type(c))
+
+
+def test_coefficients_stay_int_or_fraction():
+    # an integral value is stored as an int and is the same polynomial
+    half_four = Polynomial(1, {(1,): Fraction(4, 2)})
+    two = Polynomial(1, {(1,): 2})
+    assert half_four == two
+    assert hash(half_four) == hash(two)
+    assert half_four.text() == two.text() == "2*x1"
+    assert type(half_four.terms[(1,)]) is int
+    # coefficient quotients: int when integral, Fraction otherwise
+    for a, b, want in [
+        (6, 3, 2),
+        (-6, 3, -2),
+        (1, 2, Fraction(1, 2)),
+        (-3, 2, Fraction(-3, 2)),
+        (Fraction(1, 2), Fraction(1, 4), 2),
+        (Fraction(3, 2), 3, Fraction(1, 2)),
+        (3, Fraction(3, 2), 2),
+    ]:
+        got = coeff_div(a, b)
+        assert got == want and type(got) is type(want), (a, b, got)
+    x1, x2 = variables(2)
+    half = exact_divide(x1, 2 * x1)
+    assert half == Fraction(1, 2) and type(half.terms[(0, 0)]) is Fraction
+    assert type(exact_divide(6 * x1 * x2, 3 * x1).terms[(0, 1)]) is int
+    _assert_exact_coefficients(half, exact_divide(6 * x1 * x2, 3 * x1))
+    rng = random.Random(808)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        f = _random_poly(rng, n, max_deg=3, max_terms=4)
+        g = _random_poly(rng, n, max_deg=2, max_terms=3)
+        k = Polynomial(n, {e: rng.randint(-4, 4) for e in f.terms})
+        results = [f + g, f - g, -f, f * g, g * k, 3 * f, Fraction(2, 3) * k]
+        results.append(f.partial(rng.randint(1, n)))
+        for divisor in (g, k):
+            if divisor:
+                results.append(exact_divide(f * divisor, divisor))
+                results.append(exact_divide(k * divisor, divisor))
+        gb = groebner_basis([f, g, k])
+        results += gb
+        results.append(normal_form(_random_poly(rng, n), gb))
+        _assert_exact_coefficients(*results)
 
 
 def test_ambient_mismatch_refused():
