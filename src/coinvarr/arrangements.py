@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .polynomials import Polynomial, coeff_div, lex_key, variables
+from .polynomials import Polynomial, coeff_div, variables
 
 
 class Arrangement:
@@ -150,7 +150,7 @@ def defining_polynomial(A):
     for p in A.sorted_pairs():
         q = q * linear_form(p, A.n)
     if q:
-        _, lc = q.leading(lex_key)
+        lc = q.terms[max(q.terms)]  # tuples compare in lex order
         if lc != 1:
             q = q * coeff_div(1, lc)
     return q
@@ -173,17 +173,6 @@ def skip_forms_product(skips, n):
     f = Polynomial.one(n)
     for j in sorted(skips):
         f = f * xs[j - 1]
-        for i in range(j + 1, n + 1):
-            f = f * (xs[j - 1] - xs[i - 1])
-    return f
-
-
-def skip_differences_product(skips, n):
-    """Same as skip_forms_product but without the coordinate factors x_j."""
-    skips = _skipset(skips, n)
-    xs = variables(n)
-    f = Polynomial.one(n)
-    for j in sorted(skips):
         for i in range(j + 1, n + 1):
             f = f * (xs[j - 1] - xs[i - 1])
     return f

@@ -5,9 +5,10 @@ selection plus the coprimality and chain criteria is fast enough for every
 ideal this library touches (n <= 5, small degrees); signature-based
 algorithms would buy nothing here and cost auditability.
 
-Orders are key functions on exponent tuples: grevlex (default), lex, and a
-block order that eliminates a leading group of variables (used by the colon
-computation).  Reduced bases are canonical (monic, auto-reduced, sorted), so
+Ideals, normal forms and leading terms all use grevlex.  Only
+groebner_basis takes a monomial order, as a key function on exponent tuples,
+so that colon can eliminate a fresh variable under the block order
+elim_key(1).  Reduced bases are canonical (monic, auto-reduced, sorted), so
 ideal equality is literal equality of reduced bases.
 
 The environment variable COINVARR_GB_TERM_CAP, when set, bounds the total
@@ -27,25 +28,13 @@ from .polynomials import (
     coeff_div,
     exact_divide,
     grevlex_key,
-    lex_key,
 )
 
 ENV_TERM_CAP = "COINVARR_GB_TERM_CAP"
 
-_ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
-
 
 class GroebnerResourceError(RuntimeError):
     """Basis computation exceeded the configured term cap."""
-
-
-def order_key(order):
-    if callable(order):
-        return order
-    try:
-        return _ORDERS[order]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {order!r}") from None
 
 
 def elim_key(k):
@@ -101,12 +90,12 @@ def _monic(t, key):
     return {e: coeff_div(c, lc) for e, c in t.items()}
 
 
-def groebner_basis(polys, order="grevlex"):
+def groebner_basis(polys, key=grevlex_key):
     """Reduced Groebner basis of the ideal generated by polys.
 
-    Returns a canonical list of monic Polynomials sorted by leading monomial.
+    key is the monomial order, a sort key on exponent tuples.  Returns a
+    canonical list of monic Polynomials sorted by leading monomial.
     """
-    key = order_key(order)
     cap = _env_cap()
     nonzero = [p for p in polys if p]
     if not nonzero:
@@ -202,19 +191,15 @@ def groebner_basis(polys, order="grevlex"):
     return [Polynomial._from_terms(n, t) for t in reduced]
 
 
-def normal_form(f, basis, order="grevlex"):
+def normal_form(f, basis):
     """Fully reduce f against a list of Polynomials (typically a GB)."""
-    key = order_key(order)
-    prepared = [
-        (max(p.terms, key=key), _monic(p.terms, key)) for p in basis if p
-    ]
-    return Polynomial._from_terms(f.n, _nf_dict(f.terms, prepared, key))
+    prepared = [(p.leading()[0], _monic(p.terms, grevlex_key)) for p in basis if p]
+    return Polynomial._from_terms(f.n, _nf_dict(f.terms, prepared, grevlex_key))
 
 
-def s_polynomial(f, g, order="grevlex"):
-    key = order_key(order)
-    lf, cf = f.leading(key)
-    lg, cg = g.leading(key)
+def s_polynomial(f, g):
+    lf, cf = f.leading()
+    lg, cg = g.leading()
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     mf = Polynomial.monomial(f.n, tuple(a - b for a, b in zip(lcm, lf)), coeff_div(1, cf))
     mg = Polynomial.monomial(g.n, tuple(a - b for a, b in zip(lcm, lg)), coeff_div(1, cg))
@@ -223,8 +208,8 @@ def s_polynomial(f, g, order="grevlex"):
 
 # -- ideals ------------------------------------------------------------------
 
-# reduced bases keyed by (n, order, generator set); cli.run_suite empties it
-# when a suite ends
+# grevlex reduced bases keyed by (n, nonzero generator set); cli.run_suite
+# empties it when a suite ends
 _GB_CACHE = {}
 
 
@@ -241,23 +226,21 @@ class Ideal:
         self.n = n
         self.gens = gens
 
-    def groebner(self, order="grevlex"):
-        if callable(order):
-            return groebner_basis(list(self.gens), order)
-        key = (self.n, order, frozenset(g for g in self.gens if g))
+    def groebner(self):
+        key = (self.n, frozenset(g for g in self.gens if g))
         got = _GB_CACHE.get(key)
         if got is None:
-            got = groebner_basis(list(self.gens), order)
+            got = groebner_basis(list(self.gens))
             _GB_CACHE[key] = got
         return got
 
-    def normal_form(self, f, order="grevlex"):
+    def normal_form(self, f):
         if f.n != self.n:
             raise AmbientMismatch("ambient mismatch")
-        return normal_form(f, self.groebner(order), order)
+        return normal_form(f, self.groebner())
 
-    def contains(self, f, order="grevlex"):
-        return not self.normal_form(f, order)
+    def contains(self, f):
+        return not self.normal_form(f)
 
     def is_unit(self):
         gb = self.groebner()
@@ -266,14 +249,13 @@ class Ideal:
     def is_zero(self):
         return not self.groebner()
 
-    def _lead_exps(self, order="grevlex"):
-        key = order_key(order)
-        return [g.leading(key)[0] for g in self.groebner(order)]
+    def _lead_exps(self):
+        return [g.leading()[0] for g in self.groebner()]
 
-    def box_bounds(self, order="grevlex"):
+    def box_bounds(self):
         """Per-variable minimal pure-power lead degrees, or None if absent."""
         bounds = [None] * self.n
-        for e in self._lead_exps(order):
+        for e in self._lead_exps():
             support = [i for i, a in enumerate(e) if a]
             if not support:
                 return [0] * self.n  # unit ideal
@@ -283,57 +265,44 @@ class Ideal:
                     bounds[i] = e[i]
         return bounds
 
-    def is_artinian(self, order="grevlex"):
+    def is_artinian(self):
         """True iff the quotient is finite-dimensional over Q.
 
         Criterion: every variable has a pure power among the leading terms
         of a Groebner basis (unit ideal counts, with dimension 0).
         """
-        return all(b is not None for b in self.box_bounds(order))
+        return None not in self.box_bounds()
 
-    def standard_monomials(self, cap=None, order="grevlex"):
-        """(monomial exponent list, complete flag) for the quotient basis.
+    def standard_monomials(self):
+        """Grevlex-sorted exponent tuples of the quotient basis.
 
-        Artinian ideals enumerate the full finite list (complete=True);
-        otherwise monomials of degree <= cap are returned with complete=False.
+        These are the monomials that no leading term divides; the ideal must
+        be Artinian, so they all fit in the box of box_bounds().
         """
-        leads = self._lead_exps(order)
-        bounds = self.box_bounds(order)
-        out = []
-        if all(b is not None for b in bounds):
-            ranges = [range(b) for b in bounds]
-            for exps in itertools.product(*ranges):
-                if not any(
-                    all(a >= b for a, b in zip(exps, le)) for le in leads
-                ):
-                    out.append(exps)
-            out.sort(key=grevlex_key)
-            return out, True
-        if cap is None:
-            raise ValueError("non-Artinian ideal needs an explicit degree cap")
-        for d in range(cap + 1):
-            for exps in _compositions(d, self.n):
-                if not any(
-                    all(a >= b for a, b in zip(exps, le)) for le in leads
-                ):
-                    out.append(exps)
+        bounds = self.box_bounds()
+        if None in bounds:
+            raise ValueError("standard monomials need an Artinian ideal")
+        leads = self._lead_exps()
+        out = [
+            exps
+            for exps in itertools.product(*map(range, bounds))
+            if not any(all(a >= b for a, b in zip(exps, le)) for le in leads)
+        ]
         out.sort(key=grevlex_key)
-        return out, False
+        return out
 
     def dimension(self):
         """Vector-space dimension of the quotient, or None if infinite."""
         if not self.is_artinian():
             return None
-        return len(self.standard_monomials()[0])
+        return len(self.standard_monomials())
 
     def hilbert_series(self):
         """Tuple of graded quotient dimensions (Artinian, homogeneous only)."""
         for g in self.gens:
             if not g.is_homogeneous():
                 raise ValueError("Hilbert series needs homogeneous generators")
-        mons, complete = self.standard_monomials()
-        if not complete:
-            raise ValueError("Hilbert series requires an Artinian quotient")
+        mons = self.standard_monomials()
         if not mons:
             return ()
         top = max(sum(e) for e in mons)
@@ -347,21 +316,11 @@ class Ideal:
         return f"Ideal({self.n}, [{inner}])"
 
 
-def _compositions(d, n):
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, n - 1):
-            yield (first,) + rest
-
-
-def ideal_equal(I, J, order="grevlex"):
+def ideal_equal(I, J):
     """Ideal equality via canonical reduced bases."""
     if I.n != J.n:
         raise AmbientMismatch("ambient mismatch")
-    return I.groebner(order) == J.groebner(order)
+    return I.groebner() == J.groebner()
 
 
 def colon(I, f):
@@ -399,16 +358,6 @@ def colon(I, f):
                 raise ArithmeticError("elimination produced a non-multiple of f")
             quotients.append(q)
     return Ideal(n, quotients)
-
-
-def colon_by_factors(I, factors):
-    """Iterated colon: I : (f1*f2*...*fk) = ((I : f1) : f2) ... : fk."""
-    out = I
-    for f in factors:
-        out = colon(out, f)
-        if out.is_unit():
-            return out
-    return out
 
 
 def is_regular_sequence(polys, n):

@@ -10,9 +10,9 @@ equal to the int, so equality, hashing and text() do not see the difference.
 Mixing polynomials with different ambient n raises AmbientMismatch rather
 than guessing a coercion.
 
-Monomial order comparators (lex, grevlex) are exposed as standalone key
-functions on exponent tuples so that Groebner code and canonical printing
-share one definition.
+The one monomial order is grevlex, exposed as the key function grevlex_key
+on exponent tuples, so that leading terms, exact division, Groebner code and
+canonical printing share one definition.  Plain tuple comparison is lex.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from fractions import Fraction
 
 class AmbientMismatch(ValueError):
     """Two objects disagree on the ambient variable count."""
-
-
-def lex_key(exps):
-    """Sort key for lexicographic order: bigger key = bigger monomial."""
-    return tuple(exps)
 
 
 def grevlex_key(exps):
@@ -222,18 +217,11 @@ class Polynomial:
     def homogeneous_part(self, d):
         return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def homogeneous_parts(self):
-        """Dict degree -> homogeneous component, zero parts omitted."""
-        out = {}
-        for e, c in self.terms.items():
-            out.setdefault(sum(e), {})[e] = c
-        return {d: Polynomial(self.n, t) for d, t in sorted(out.items())}
-
-    def leading(self, key=grevlex_key):
-        """(exponent tuple, coefficient) of the order-maximal term."""
+    def leading(self):
+        """(exponent tuple, coefficient) of the grevlex-maximal term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
     # -- calculus --------------------------------------------------------
@@ -405,7 +393,7 @@ def vandermonde(n):
     return result
 
 
-def exact_divide(f, g, key=grevlex_key):
+def exact_divide(f, g):
     """Return f/g if g divides f exactly, else None.
 
     Single-divisor division: the remainder is zero iff g | f, because any
@@ -418,11 +406,11 @@ def exact_divide(f, g, key=grevlex_key):
         raise ZeroDivisionError("division by zero polynomial")
     if not f:
         return Polynomial.zero(f.n)
-    ge, gc = g.leading(key)
+    ge, gc = g.leading()
     work = dict(f.terms)
     quot = {}
     while work:
-        e = max(work, key=key)
+        e = max(work, key=grevlex_key)
         c = work.pop(e)
         if any(ei < gi for ei, gi in zip(e, ge)):
             return None

@@ -16,6 +16,7 @@ from math import comb, gcd, lcm
 
 from .arrangements import staircase_monomials, subsets
 from .polynomials import AmbientMismatch, Polynomial, grevlex_key
+from .symmetric import power_sum
 
 
 class SuperMonomial:
@@ -259,18 +260,6 @@ def sn_act(w, omega):
     return SuperElement(n, out)
 
 
-def power_sum_element(k, n):
-    """Sum of k-th powers of the x-variables as a SuperElement."""
-    if k < 1:
-        raise ValueError("positive powers only")
-    terms = {}
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = k
-        terms[(tuple(exps), ())] = Fraction(1)
-    return SuperElement(n, terms)
-
-
 def invariant_generators(n):
     """Positive-degree diagonal invariants generating the quotient ideal.
 
@@ -279,7 +268,7 @@ def invariant_generators(n):
     """
     gens = []
     for k in range(1, n + 1):
-        p = power_sum_element(k, n)
+        p = SuperElement.from_polynomial(power_sum(k, n))
         gens.append(p)
         gens.append(euler_d(p))
     return gens

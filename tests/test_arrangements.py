@@ -31,7 +31,6 @@ from coinvarr.arrangements import (
     restrict_coordinate,
     roots_poly,
     skip_arrangement,
-    skip_differences_product,
     skip_forms_product,
     smallest_prime_above,
     staircase,
@@ -39,7 +38,7 @@ from coinvarr.arrangements import (
     _point_count_inclusion_exclusion,
     _point_count_literal,
 )
-from coinvarr.polynomials import Polynomial, variables
+from coinvarr.polynomials import variables
 
 # the worked n=5 example used throughout: x1, x2, x1-x2, x1-x3, x2-x3,
 # x1-x4, x2-x4, x3-x4, x2-x5
@@ -179,13 +178,6 @@ def test_skip_products_match_complement():
             for skips in itertools.combinations(range(1, n + 1), r):
                 A = skip_arrangement(skips, n)
                 assert complement_product(A) == skip_forms_product(skips, n)
-                # difference-only variant divides the full product
-                f = skip_forms_product(skips, n)
-                ftil = skip_differences_product(skips, n)
-                coord = Polynomial.one(n)
-                for j in skips:
-                    coord = coord * Polynomial.variable(n, j)
-                assert coord * ftil == f
 
 
 def test_delete_and_column_counts():

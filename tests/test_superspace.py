@@ -17,14 +17,13 @@ from coinvarr.superspace import (
     fubini,
     invariant_generators,
     invariant_ideal_rows,
-    power_sum_element,
     rank_of_elements,
     sn_act,
     sr_bigraded_dimensions,
     super_monomials,
     verify_sr_basis,
 )
-from coinvarr.symmetric import coinvariant_generators
+from coinvarr.symmetric import coinvariant_generators, power_sum
 
 
 def _x(n, i):
@@ -107,7 +106,7 @@ def test_euler_d_fixtures():
     n = 3
     assert euler_d(_x(n, 1)) == _t(n, 1)
     assert euler_d(_x(n, 1) * _t(n, 1)) == SuperElement.zero(n)
-    p2 = power_sum_element(2, n)
+    p2 = SuperElement.from_polynomial(power_sum(2, n))
     expected = SuperElement.zero(n)
     for i in range(1, n + 1):
         expected = expected + 2 * (_x(n, i) * _t(n, i))
