@@ -19,6 +19,7 @@ prefix interval.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .polynomials import Polynomial, coeff_div, variables
 
@@ -410,7 +411,7 @@ def roots_poly(roots):
 def smallest_prime_above(m):
     c = max(2, m + 1)
     while True:
-        if all(c % d for d in range(2, int(c**0.5) + 1)):
+        if all(c % d for d in range(2, math.isqrt(c) + 1)):
             return c
         c += 1
 

@@ -1,11 +1,16 @@
-"""Polynomial-exterior tensor ring and its coinvariant quotient.
+"""Superspace: polynomial-valued differential forms and their coinvariants.
 
-Elements mix ordinary variables x_1..x_n with anticommuting generators
-t_1..t_n (t_i*t_j = -t_j*t_i, squares vanish).  Everything is bigraded by
-(polynomial degree, anticommuting degree).  The quotient by the ideal of
-positive-degree diagonal-symmetric elements is studied through exact
-per-bidegree linear algebra: spanning rows for the ideal piece, ranks over
-the rationals, and the staircase monomial family as a candidate basis.
+The superspace ring has commuting variables x_1..x_n and anticommuting
+t_1..t_n (t_i*t_j = -t_j*t_i, squares vanish).  As a module over
+Q[x_1..x_n] it is free on the exterior monomials t_J, J an ascending tuple
+of t-indices, so an element is a finite sum of p_J * t_J and is stored as
+the dict J -> nonzero Polynomial p_J; all coefficient arithmetic is
+Polynomial arithmetic, and _merge_sign is the one place the sign of t_a*t_b
+is computed.  Everything is bigraded by (polynomial degree, anticommuting
+degree).  The quotient by the ideal of positive-degree diagonal-symmetric
+elements is studied through exact per-bidegree linear algebra: spanning
+rows for the ideal piece, ranks over the rationals, and the staircase
+monomial family as a candidate basis.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import comb, gcd, lcm
 
 from .arrangements import staircase_monomials, subsets
 from .polynomials import AmbientMismatch, Polynomial, grevlex_key
-from .symmetric import power_sum
+from .symmetric import complete, power_sum
 
 
 class SuperMonomial:
@@ -67,32 +72,29 @@ class SuperMonomial:
 
 
 def _merge_sign(a, b):
-    """Sign for t_a * t_b with both tuples ascending; 0 on overlap."""
+    """Sign and merged index tuple of t_a * t_b, both ascending; 0 on overlap."""
     if set(a) & set(b):
         return 0, ()
     inversions = sum(1 for i in a for j in b if i > j)
-    merged = tuple(sorted(a + b))
-    return (-1) ** inversions, merged
-
-
-def _term_sort_key(key):
-    exps, thetas = key
-    return (len(thetas), tuple(-t for t in thetas), grevlex_key(exps))
+    return (-1) ** inversions, tuple(sorted(a + b))
 
 
 class SuperElement:
-    """Linear combination of SuperMonomials with rational coefficients."""
+    """Finite sum of p_J * t_J, stored as parts: ascending J -> nonzero p_J."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "parts")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, parts=None):
         self.n = n
         clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[key] = c
-        self.terms = clean
+        for thetas, p in (parts or {}).items():
+            if not isinstance(p, Polynomial):
+                raise TypeError(f"expected Polynomial part, got {type(p).__name__}")
+            if p.n != n:
+                raise AmbientMismatch(f"part of ambient n={p.n} in element of n={n}")
+            if p:
+                clean[thetas] = p
+        self.parts = clean
 
     @classmethod
     def zero(cls, n):
@@ -100,78 +102,62 @@ class SuperElement:
 
     @classmethod
     def one(cls, n):
-        return cls(n, {((0,) * n, ()): Fraction(1)})
+        return cls.from_polynomial(Polynomial.one(n))
 
     @classmethod
     def monomial(cls, mono, coeff=1):
-        return cls(mono.n, {(mono.exps, mono.thetas): Fraction(coeff)})
+        return cls(mono.n, {mono.thetas: Polynomial.monomial(mono.n, mono.exps, coeff)})
 
     @classmethod
     def from_polynomial(cls, p):
-        return cls(p.n, {(e, ()): c for e, c in p.terms.items()})
+        return cls(p.n, {(): p})
 
     @classmethod
     def theta(cls, n, i):
         if not 1 <= i <= n:
             raise ValueError(f"t-index {i} out of range")
-        return cls(n, {((0,) * n, (i,)): Fraction(1)})
+        return cls(n, {(i,): Polynomial.one(n)})
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise AmbientMismatch(f"cannot mix ambient n={self.n} with n={other.n}")
+    @property
+    def terms(self):
+        """Flat read-only view {(exps, J): coefficient}, one entry per term."""
+        return {(e, J): c for J, p in self.parts.items() for e, c in p.terms.items()}
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.parts)
 
     def __eq__(self, other):
         if not isinstance(other, SuperElement):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return self.n == other.n and self.parts == other.parts
 
     def __add__(self, other):
         if not isinstance(other, SuperElement):
             return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        if other.n != self.n:
+            raise AmbientMismatch(f"cannot mix ambient n={self.n} with n={other.n}")
+        out = dict(self.parts)
+        for thetas, p in other.parts.items():
+            out[thetas] = out[thetas] + p if thetas in out else p
         return SuperElement(self.n, out)
 
     def __neg__(self):
-        return SuperElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperElement):
-            return NotImplemented
-        return self + (-other)
+        return SuperElement(self.n, {J: -p for J, p in self.parts.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return SuperElement(self.n, {k: c * v for k, v in self.terms.items()})
+            return SuperElement(self.n, {J: p * other for J, p in self.parts.items()})
         if not isinstance(other, SuperElement):
             return NotImplemented
-        self._check(other)
+        if other.n != self.n:
+            raise AmbientMismatch(f"cannot mix ambient n={self.n} with n={other.n}")
         out = {}
-        for (ea, ta), ca in self.terms.items():
-            for (eb, tb), cb in other.terms.items():
-                sign, merged = _merge_sign(ta, tb)
-                if not sign:
-                    continue
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                key = (exps, merged)
-                s = out.get(key, 0) + sign * ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        for ja, pa in self.parts.items():
+            for jb, pb in other.parts.items():
+                sign, merged = _merge_sign(ja, jb)
+                if sign:
+                    p = sign * (pa * pb)
+                    out[merged] = out[merged] + p if merged in out else p
         return SuperElement(self.n, out)
 
     def __rmul__(self, other):
@@ -179,85 +165,45 @@ class SuperElement:
             return self * other
         return NotImplemented
 
-    def bidegrees(self):
-        return {(sum(e), len(t)) for e, t in self.terms}
-
-    def is_bihomogeneous(self):
-        return len(self.bidegrees()) <= 1
-
     def bidegree(self):
-        degs = self.bidegrees()
+        degs = {(sum(e), len(J)) for J, p in self.parts.items() for e in p.terms}
         if len(degs) != 1:
             raise ValueError("element is zero or mixes bidegrees")
         return degs.pop()
 
-    def text(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for key in sorted(self.terms, key=_term_sort_key):
-            c = self.terms[key]
-            mono = SuperMonomial(*key).text()
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            chunks.append(("-" if c < 0 else "+") + body)
-        joined = "".join(chunks)
-        return joined[1:] if joined.startswith("+") else joined
-
     def __repr__(self):
-        return f"SuperElement({self.n}, {self.text()!r})"
+        return f"SuperElement({self.n}, {self.parts!r})"
 
 
 def euler_d(omega):
-    """Total derivative: x-monomial f times t_J goes to sum d_i(f)*t_i*t_J."""
+    """Total derivative: sum over i of t_i times the part-wise d/dx_i of omega."""
     n = omega.n
-    out = {}
-    for (exps, thetas), c in omega.terms.items():
-        for i in range(1, n + 1):
-            e = exps[i - 1]
-            if not e or i in thetas:
-                continue
-            sign = (-1) ** sum(1 for t in thetas if t < i)
-            new_exps = exps[: i - 1] + (e - 1,) + exps[i:]
-            new_thetas = tuple(sorted(thetas + (i,)))
-            key = (new_exps, new_thetas)
-            s = out.get(key, 0) + sign * c * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return SuperElement(n, out)
+    out = SuperElement.zero(n)
+    for i in range(1, n + 1):
+        d_i = SuperElement(n, {J: p.partial(i) for J, p in omega.parts.items()})
+        out = out + SuperElement.theta(n, i) * d_i
+    return out
 
 
 def sn_act(w, omega):
-    """Relabel both variable families along a permutation of 1..n."""
+    """Relabel both variable families along a permutation of 1..n.
+
+    x_i goes to x_w(i) inside each p_J, and t_J to the product of the
+    t_w(j) over j in J, taken in the order of J.
+    """
     w = tuple(w)
     n = omega.n
     if sorted(w) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..n")
-    out = {}
-    for (exps, thetas), c in omega.terms.items():
-        new_exps = [0] * n
-        for i, e in enumerate(exps, start=1):
-            new_exps[w[i - 1] - 1] = e
-        image = [w[t - 1] for t in thetas]
-        inversions = sum(
-            1
-            for a in range(len(image))
-            for b in range(a + 1, len(image))
-            if image[a] > image[b]
-        )
-        key = (tuple(new_exps), tuple(sorted(image)))
-        s = out.get(key, 0) + (-1) ** inversions * c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return SuperElement(n, out)
+    source = [w.index(k) for k in range(1, n + 1)]
+    out = SuperElement.zero(n)
+    for thetas, p in omega.parts.items():
+        moved = {tuple(e[s] for s in source): c for e, c in p.terms.items()}
+        image = SuperElement.from_polynomial(Polynomial(n, moved))
+        for j in thetas:
+            image = image * SuperElement.theta(n, w[j - 1])
+        out = out + image
+    return out
 
 
 def invariant_generators(n):
@@ -278,21 +224,12 @@ def super_monomials(n, i, j):
     """All monomials of bidegree (i, j), deterministic order."""
     if i < 0 or j < 0 or j > n:
         return []
-    exps_list = sorted(_exponents(n, i), key=grevlex_key, reverse=True)
+    exps_list = sorted(complete(i, n).terms, key=grevlex_key, reverse=True)
     out = []
     for thetas in itertools.combinations(range(1, n + 1), j):
         for exps in exps_list:
             out.append(SuperMonomial(exps, thetas))
     return out
-
-
-def _exponents(n, total):
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponents(n - 1, total - head):
-            yield (head,) + rest
 
 
 def dim_bidegree(n, i, j):

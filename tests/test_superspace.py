@@ -27,9 +27,7 @@ from coinvarr.symmetric import coinvariant_generators, power_sum
 
 
 def _x(n, i):
-    exps = [0] * n
-    exps[i - 1] = 1
-    return SuperElement(n, {(tuple(exps), ()): Fraction(1)})
+    return SuperElement.from_polynomial(Polynomial.variable(n, i))
 
 
 def _t(n, i):
@@ -81,9 +79,38 @@ def test_multiply_sign_fixtures():
     assert t1 * t1 == SuperElement.zero(n)
     x1, x2 = _x(n, 1), _x(n, 2)
     prod = (x1 * t1) * (x2 * t2)
-    assert prod == SuperElement(n, {((1, 1), (1, 2)): Fraction(1)})
+    assert prod == SuperElement(n, {(1, 2): Polynomial.monomial(n, (1, 1))})
     with pytest.raises(AmbientMismatch):
         t1 * _t(3, 1)
+
+
+def test_parts_are_polynomials_with_exact_coefficients():
+    mono = SuperMonomial((1, 0), (2,))
+    with pytest.raises(TypeError):
+        SuperElement.monomial(mono, 0.5)
+    with pytest.raises(AmbientMismatch):
+        SuperElement(2, {(): Polynomial.one(3)})
+    assert SuperElement(2, {(1,): Polynomial.zero(2)}) == SuperElement.zero(2)
+    rows = invariant_ideal_rows(3, 2, 1)
+    assert rows
+    for row in rows:
+        assert all(type(c) is int for c in row.terms.values())
+    # the t-free parts multiply exactly as Polynomials do
+    rng = random.Random(19)
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        f, g = (
+            Polynomial(
+                n,
+                {
+                    tuple(rng.randint(0, 2) for _ in range(n)): _random_fraction(rng)
+                    for _ in range(rng.randint(0, 4))
+                },
+            )
+            for _ in range(2)
+        )
+        product = SuperElement.from_polynomial(f) * SuperElement.from_polynomial(g)
+        assert product == SuperElement.from_polynomial(f * g)
 
 
 def test_multiply_associative_and_supercommutative():
