@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .polynomials import Polynomial, coeff_div, variables
+from .polynomials import Polynomial, box_monomials, coeff_div, variables
 
 
 class Arrangement:
@@ -124,8 +124,7 @@ def staircase_monomials(skips, n):
 
     Empty when 1 is skipped (the first bound is then zero).
     """
-    st = staircase(skips, n)
-    return sorted(itertools.product(*[range(b) for b in st]), reverse=True)
+    return box_monomials(staircase(skips, n))
 
 
 # -- linear forms ------------------------------------------------------------
@@ -271,16 +270,7 @@ def _adjacency(A):
 
 def is_essential(A):
     """True iff the graph on {0..n} is connected (full-rank arrangement)."""
-    adj = _adjacency(A)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == A.n + 1
+    return _block_connected(range(A.n + 1), _adjacency(A))
 
 
 def is_chordal(A):

@@ -48,7 +48,7 @@ from .derivations import (
     skip_generators,
     southwest_basis,
 )
-from .groebner import _GB_CACHE, Ideal, colon, ideal_equal, is_regular_sequence
+from .groebner import Ideal, clear_basis_cache, colon, ideal_equal, is_regular_sequence
 from .polynomials import Polynomial
 from .st_algebras import (
     classify,
@@ -58,7 +58,7 @@ from .st_algebras import (
     verify_box_basis,
     verify_skip_quotient,
 )
-from .superspace import artin_monomials, fubini, sr_bigraded_dimensions, verify_sr_basis
+from .superspace import artin_monomials, fubini, sr_basis_certificate
 from .symmetric import (
     coinvariant_generators,
     eh_duality_check,
@@ -198,12 +198,20 @@ class Suite:
         self.doc = doc
 
 
+def _plan_all_j(cfg, top):
+    return [(n, _jkey(J)) for n in range(1, top + 1) for J in subsets(range(1, n + 1))]
+
+
+def _count_all_j(cfg, top):
+    return sum(2**n for n in range(1, top + 1))
+
+
 def _plan_staircase(cfg, top):
-    tasks = [(n, _jkey(J)) for n in range(1, top + 1) for J in subsets(range(1, n + 1))]
-    tasks.append((5, "display:staircase"))
-    tasks.append((5, "display:skip-monomials"))
-    tasks.append((3, "display:decorated-monomials"))
-    return tasks
+    return _plan_all_j(cfg, top) + [
+        (5, "display:staircase"),
+        (5, "display:skip-monomials"),
+        (3, "display:decorated-monomials"),
+    ]
 
 
 def _run_staircase(n, key, cfg):
@@ -220,9 +228,7 @@ def _run_staircase(n, key, cfg):
     J = _jparse(key)
     want = tuple(sum(1 for j in range(1, i + 1) if j not in J) for i in range(1, n + 1))
     got = staircase(J, n)
-    count = 1
-    for b in want:
-        count *= b
+    count = math.prod(want)
     return [
         ("staircase", key, canon(want), canon(got)),
         ("staircase-count", key, count, len(staircase_monomials(J, n))),
@@ -230,7 +236,7 @@ def _run_staircase(n, key, cfg):
 
 
 def _count_staircase(cfg, top):
-    return sum(2**n for n in range(1, top + 1)) + 3
+    return _count_all_j(cfg, top) + 3
 
 
 def _plan_per_n(cfg, top):
@@ -238,19 +244,11 @@ def _plan_per_n(cfg, top):
 
 
 def _run_super_basis(n, key, cfg):
-    table = sr_bigraded_dimensions(n)
+    table, ok = sr_basis_certificate(n)
     return [
-        ("sr-basis", key, True, verify_sr_basis(n, table)),
+        ("sr-basis", key, True, ok),
         ("sr-dimension", key, fubini(n), sum(table.values())),
     ]
-
-
-def _plan_all_j(cfg, top):
-    return [(n, _jkey(J)) for n in range(1, top + 1) for J in subsets(range(1, n + 1))]
-
-
-def _count_all_j(cfg, top):
-    return sum(2**n for n in range(1, top + 1))
 
 
 def _run_skip_quotient(n, key, cfg):
@@ -353,9 +351,7 @@ def _plan_southwest_quotient(cfg, top):
 def _run_southwest_quotient(n, key, cfg):
     A = parse_arrangement(key)
     inst = classify(A, ones_map(n))
-    want = 1
-    for h in column_counts(A):
-        want *= h
+    want = math.prod(column_counts(A))
     return [
         ("box-basis", key, True, verify_box_basis(inst)),
         ("hilbert-additivity", key, True, exact_sequence_check(inst)),
@@ -586,7 +582,7 @@ def run_suite(name, cfg):
         else:
             chunks = [_execute(t) for t in tasks]
     finally:
-        _GB_CACHE.clear()
+        clear_basis_cache()
     reports = [
         make_report(check, n, instance, expected, actual, ms)
         for chunk in chunks

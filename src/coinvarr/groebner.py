@@ -28,6 +28,7 @@ from .polynomials import (
     coeff_div,
     exact_divide,
     grevlex_key,
+    sub_scaled,
 )
 
 ENV_TERM_CAP = "COINVARR_GB_TERM_CAP"
@@ -54,17 +55,6 @@ def _env_cap():
 # -- raw term-dict plumbing (hot path) --------------------------------------
 
 
-def _sub_scaled(t, g, coeff, shift):
-    """t -= coeff * x^shift * g, in place on term dicts."""
-    for e, c in g.items():
-        k = tuple(a + b for a, b in zip(shift, e))
-        s = t.get(k, 0) - coeff * c
-        if s:
-            t[k] = s
-        else:
-            t.pop(k, None)
-
-
 def _nf_dict(t, prepared, key):
     """Fully reduce term dict t against prepared [(lead, poly dict)] rows."""
     t = dict(t)
@@ -76,7 +66,7 @@ def _nf_dict(t, prepared, key):
             if all(a >= b for a, b in zip(e, le)):
                 shift = tuple(a - b for a, b in zip(e, le))
                 t[e] = c
-                _sub_scaled(t, g, c, shift)  # g is monic
+                sub_scaled(t, g, c, shift)  # g is monic
                 break
         else:
             out[e] = c
@@ -167,8 +157,8 @@ def groebner_basis(polys, key=grevlex_key):
         if skip:
             continue
         s = {}
-        _sub_scaled(s, basis[i], -1, tuple(a - b for a, b in zip(lcm, li)))
-        _sub_scaled(s, basis[j], 1, tuple(a - b for a, b in zip(lcm, lj)))
+        sub_scaled(s, basis[i], -1, tuple(a - b for a, b in zip(lcm, li)))
+        sub_scaled(s, basis[j], 1, tuple(a - b for a, b in zip(lcm, lj)))
         h = _nf_dict(s, list(zip(leads, basis)), key)
         if h:
             idx = push(h, sugar)
@@ -209,8 +199,13 @@ def s_polynomial(f, g):
 # -- ideals ------------------------------------------------------------------
 
 # grevlex reduced bases keyed by (n, nonzero generator set); cli.run_suite
-# empties it when a suite ends
+# empties it through clear_basis_cache when a suite ends
 _GB_CACHE = {}
+
+
+def clear_basis_cache():
+    """Forget every cached reduced basis."""
+    _GB_CACHE.clear()
 
 
 class Ideal:

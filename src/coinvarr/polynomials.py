@@ -13,13 +13,19 @@ than guessing a coercion.
 The one monomial order is grevlex, exposed as the key function grevlex_key
 on exponent tuples, so that leading terms, exact division, Groebner code and
 canonical printing share one definition.  Plain tuple comparison is lex.
+
+It is also the one home of the kernels the other layers share: shifted
+subtraction (sub_scaled), box enumeration, monomial text, and exact linear
+algebra (matrix_determinant and the fraction-free rank_of_elements).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class AmbientMismatch(ValueError):
@@ -53,6 +59,27 @@ def coeff_div(a, b):
     """
     q, r = divmod(a, b)
     return q if not r else Fraction(a, b)
+
+
+def sub_scaled(t, g, coeff, shift):
+    """t -= coeff * x^shift * g, in place on term dicts."""
+    for e, c in g.items():
+        k = tuple(a + b for a, b in zip(shift, e))
+        s = t.get(k, 0) - coeff * c
+        if s:
+            t[k] = s
+        else:
+            t.pop(k, None)
+
+
+def box_monomials(bounds):
+    """Exponent tuples e with 0 <= e_i < bounds[i], lex-descending."""
+    return list(itertools.product(*(range(b - 1, -1, -1) for b in bounds)))
+
+
+def monomial_factors(exps):
+    """The factors xi and xi^e of x^exps, in variable order; 1 gives []."""
+    return [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e]
 
 
 class Polynomial:
@@ -287,12 +314,7 @@ class Polynomial:
         chunks = []
         for e in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[e]
-            factors = []
-            for i, k in enumerate(e, start=1):
-                if k == 1:
-                    factors.append(f"x{i}")
-                elif k > 1:
-                    factors.append(f"x{i}^{k}")
+            factors = monomial_factors(e)
             mag = abs(c)
             if factors and mag == 1:
                 body = "*".join(factors)
@@ -411,21 +433,12 @@ def exact_divide(f, g):
     quot = {}
     while work:
         e = max(work, key=grevlex_key)
-        c = work.pop(e)
         if any(ei < gi for ei, gi in zip(e, ge)):
             return None
         shift = tuple(ei - gi for ei, gi in zip(e, ge))
-        q = coeff_div(c, gc)
+        q = coeff_div(work[e], gc)
         quot[shift] = q
-        for e2, c2 in g.terms.items():
-            if e2 == ge:
-                continue
-            key2 = tuple(a + b for a, b in zip(shift, e2))
-            s = work.get(key2, 0) - q * c2
-            if s:
-                work[key2] = s
-            else:
-                work.pop(key2, None)
+        sub_scaled(work, g.terms, q, shift)  # cancels the leading term e
     return Polynomial._from_terms(f.n, quot)
 
 
@@ -462,3 +475,58 @@ def matrix_determinant(rows, n):
         return total
 
     return minor(0, tuple(range(size)))
+
+
+def rank_of_elements(elements):
+    """Rank over the rationals of the span of the given elements.
+
+    The elements are Polynomials, SuperElements or anything else with a
+    terms dict from comparable monomial keys to rational coefficients.
+    Each row is scaled to integers by the lcm of its denominators and
+    reduced by fraction-free sparse elimination (row = a*row - b*pivot,
+    with a and b coprime); pivot rows are stored primitive.  Nonzero row
+    scaling leaves the span's rank unchanged, so the result is exact.
+    Columns are the monomial keys in their natural tuple order, renumbered
+    as ints so that lookups hash small keys.  Once every column holds a
+    pivot the remaining rows can only reduce to zero, so elimination stops
+    there.
+    """
+    elements = list(elements)
+    keys = sorted({key for elem in elements for key in elem.terms})
+    index = {key: col for col, key in enumerate(keys)}
+    pivots = {}
+    for elem in elements:
+        if len(pivots) == len(keys):
+            break
+        terms = elem.terms
+        scale = lcm(*(c.denominator for c in terms.values()))
+        row = {
+            index[key]: c.numerator * (scale // c.denominator)
+            for key, c in terms.items()
+        }
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                content = gcd(*row.values())
+                if content != 1:
+                    row = {c: v // content for c, v in row.items()}
+                pivots[col] = row
+                break
+            a = piv[col]
+            b = row.pop(col)
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in piv.items():
+                if c == col:
+                    continue
+                s = row.get(c, 0) - b * v
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+    return len(pivots)

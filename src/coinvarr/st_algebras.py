@@ -10,7 +10,7 @@ Hilbert-series additivity plus one ideal identity, and monomial bases become
 rank computations against Groebner normal forms.
 """
 
-import itertools
+import math
 
 from .arrangements import (
     Arrangement,
@@ -29,8 +29,7 @@ from .arrangements import (
 )
 from .derivations import ones_map, skip_basis, southwest_basis, st_ideal
 from .groebner import Ideal, colon, ideal_equal
-from .polynomials import Polynomial
-from .superspace import rank_of_elements
+from .polynomials import Polynomial, box_monomials, rank_of_elements
 from .symmetric import coinvariant_generators, steinberg_member
 
 __all__ = [
@@ -195,10 +194,6 @@ def exact_sequence_check(inst):
 # -- monomial bases ----------------------------------------------------------
 
 
-def _box_exponents(bounds):
-    return sorted(itertools.product(*[range(b) for b in bounds]), reverse=True)
-
-
 def verify_box_basis(inst):
     """Check the box monomials under the column counts form a quotient basis.
 
@@ -213,7 +208,7 @@ def verify_box_basis(inst):
     if inst.tag != "poincare-duality":
         return False
     h = column_counts(A)
-    exps = _box_exponents(h)
+    exps = box_monomials(h)
     if len(exps) != inst.dimension:
         return False
     rows = [
@@ -236,9 +231,7 @@ def verify_skip_quotient(skips, n):
     if 1 in skips:
         return quotient.is_unit()
     exps = staircase_monomials(skips, n)
-    count = 1
-    for b in staircase(skips, n):
-        count *= b
+    count = math.prod(staircase(skips, n))
     if len(exps) != count:
         return False
     if quotient.dimension() != count:

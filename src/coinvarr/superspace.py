@@ -9,18 +9,25 @@ Polynomial arithmetic, and _merge_sign is the one place the sign of t_a*t_b
 is computed.  Everything is bigraded by (polynomial degree, anticommuting
 degree).  The quotient by the ideal of positive-degree diagonal-symmetric
 elements is studied through exact per-bidegree linear algebra: spanning
-rows for the ideal piece, ranks over the rationals, and the staircase
-monomial family as a candidate basis.
+rows for the ideal piece, ranks over the rationals (rank_of_elements, from
+the polynomial core), and the staircase monomial family as a candidate
+basis, certified in one pass over the bidegree grid.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from .arrangements import staircase_monomials, subsets
-from .polynomials import AmbientMismatch, Polynomial, grevlex_key
+from .polynomials import (
+    AmbientMismatch,
+    Polynomial,
+    grevlex_key,
+    monomial_factors,
+    rank_of_elements,
+)
 from .symmetric import complete, power_sum
 
 
@@ -50,13 +57,7 @@ class SuperMonomial:
         return (sum(self.exps), len(self.thetas))
 
     def text(self):
-        parts = []
-        for i, e in enumerate(self.exps, start=1):
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        parts.extend(f"t{i}" for i in self.thetas)
+        parts = monomial_factors(self.exps) + [f"t{i}" for i in self.thetas]
         return "*".join(parts) if parts else "1"
 
     def __eq__(self, other):
@@ -253,60 +254,6 @@ def invariant_ideal_rows(n, i, j):
     return rows
 
 
-def rank_of_elements(elements):
-    """Rank over the rationals of the span of the given elements.
-
-    The elements are SuperElements or Polynomials with rational
-    coefficients.  Each row is scaled to integers by the lcm of its
-    denominators and reduced by fraction-free sparse elimination
-    (row = a*row - b*pivot, with a and b coprime); pivot rows are stored
-    primitive.  Nonzero row scaling leaves the span's rank unchanged, so
-    the result is exact.  Columns are the monomial keys in their natural
-    tuple order, renumbered as ints so that lookups hash small keys.  Once
-    every column holds a pivot the remaining rows can only reduce to zero,
-    so elimination stops there.
-    """
-    elements = list(elements)
-    keys = sorted({key for elem in elements for key in elem.terms})
-    index = {key: col for col, key in enumerate(keys)}
-    pivots = {}
-    for elem in elements:
-        if len(pivots) == len(keys):
-            break
-        terms = elem.terms
-        scale = lcm(*(c.denominator for c in terms.values()))
-        row = {
-            index[key]: c.numerator * (scale // c.denominator)
-            for key, c in terms.items()
-        }
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                content = gcd(*row.values())
-                if content != 1:
-                    row = {c: v // content for c, v in row.items()}
-                pivots[col] = row
-                break
-            a = piv[col]
-            b = row.pop(col)
-            g = gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-            for c, v in piv.items():
-                if c == col:
-                    continue
-                s = row.get(c, 0) - b * v
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
-    return len(pivots)
-
-
 def fubini(n):
     """Number of ordered set partitions of an n-element set."""
     vals = [1]
@@ -336,43 +283,34 @@ def artin_monomials(n):
     return out
 
 
-def sr_bigraded_dimensions(n):
-    """Quotient dimensions per bidegree over the full relevant grid."""
-    table = {}
-    for i in range(n * (n - 1) // 2 + 1):
-        for j in range(n + 1):
-            rank = rank_of_elements(invariant_ideal_rows(n, i, j))
-            table[(i, j)] = dim_bidegree(n, i, j) - rank
-    return table
+def sr_basis_certificate(n):
+    """Quotient dimensions per bidegree, and whether the decorated staircase
+    monomials form a quotient basis: returns (table, ok).
 
-
-def verify_sr_basis(n, table):
-    """Certify the decorated staircase monomials as a quotient basis.
-
-    table is sr_bigraded_dimensions(n), whose ideal-piece ranks are read
-    back as dim_bidegree - table[(i, j)] rather than eliminated again.
-    Works bidegree by bidegree: the candidate monomials of each bidegree
-    must be independent from the ideal piece (stacked rank adds their
-    count) and must exactly exhaust the quotient dimension; the grand
-    total must match the ordered-set-partition count.
+    One pass over the bidegree grid builds each ideal piece once.  Its rank
+    gives the table entry dim_bidegree - rank.  The candidate monomials of
+    the bidegree must match that count, and stacked on the piece they must
+    span the whole bidegree; with the matching count that makes them
+    independent modulo the ideal.  The candidates go first, so that the
+    elimination can stop once every column holds a pivot.  The grand total
+    must match the ordered-set-partition count.
     """
     mons = artin_monomials(n)
     buckets = {}
     for m in mons:
         buckets.setdefault(m.bidegree(), []).append(m)
-    total = 0
+    table = {}
+    ok = True
     for i in range(n * (n - 1) // 2 + 1):
         for j in range(n + 1):
-            quotient_dim = table[(i, j)]
+            dim = dim_bidegree(n, i, j)
+            rows = invariant_ideal_rows(n, i, j)
+            table[(i, j)] = dim - rank_of_elements(rows)
             candidates = buckets.get((i, j), [])
-            if quotient_dim != len(candidates):
-                return False
-            if candidates:
-                rank = dim_bidegree(n, i, j) - quotient_dim
-                stacked = invariant_ideal_rows(n, i, j) + [
-                    SuperElement.monomial(m) for m in candidates
-                ]
-                if rank_of_elements(stacked) != rank + len(candidates):
-                    return False
-            total += quotient_dim
-    return total == len(mons) == fubini(n)
+            if len(candidates) != table[(i, j)]:
+                ok = False
+            elif candidates and ok:
+                monos = [SuperElement.monomial(m) for m in candidates]
+                ok = rank_of_elements(monos + rows) == dim
+            del rows  # release the piece before the next one is built
+    return table, ok and sum(table.values()) == len(mons) == fubini(n)

@@ -28,35 +28,13 @@ def _subset(A, n):
     return A
 
 
-def elementary(d, n, A=None):
-    """Elementary symmetric polynomial e_d on the variables indexed by A."""
-    A = _subset(A, n)
-    if d < 0:
-        return Polynomial.zero(n)
-    if d == 0:
-        return Polynomial.one(n)
-    if d > len(A):
-        return Polynomial.zero(n)
-    terms = {}
-    for combo in itertools.combinations(A, d):
-        exps = [0] * n
-        for i in combo:
-            exps[i - 1] = 1
-        terms[tuple(exps)] = 1
-    return Polynomial(n, terms)
+def _index_monomials(n, combos):
+    """Sum of the monomials that the index tuples name, coefficient 1 each.
 
-
-def complete(d, n, A=None):
-    """Complete homogeneous symmetric polynomial h_d on A."""
-    A = _subset(A, n)
-    if d < 0:
-        return Polynomial.zero(n)
-    if d == 0:
-        return Polynomial.one(n)
-    if not A:
-        return Polynomial.zero(n)
+    Each occurrence of an index i in a tuple adds 1 to the exponent of x_i.
+    """
     terms = {}
-    for combo in itertools.combinations_with_replacement(A, d):
+    for combo in combos:
         exps = [0] * n
         for i in combo:
             exps[i - 1] += 1
@@ -64,17 +42,28 @@ def complete(d, n, A=None):
     return Polynomial(n, terms)
 
 
+def elementary(d, n, A=None):
+    """Elementary symmetric polynomial e_d on the variables indexed by A."""
+    A = _subset(A, n)
+    if d < 0:
+        return Polynomial.zero(n)
+    return _index_monomials(n, itertools.combinations(A, d))
+
+
+def complete(d, n, A=None):
+    """Complete homogeneous symmetric polynomial h_d on A."""
+    A = _subset(A, n)
+    if d < 0:
+        return Polynomial.zero(n)
+    return _index_monomials(n, itertools.combinations_with_replacement(A, d))
+
+
 def power_sum(k, n, A=None):
     """Power sum p_k = sum of x_i^k over A (k >= 1)."""
     A = _subset(A, n)
     if k < 1:
         raise ValueError("power sums need k >= 1")
-    terms = {}
-    for i in A:
-        exps = [0] * n
-        exps[i - 1] = k
-        terms[tuple(exps)] = 1
-    return Polynomial(n, terms)
+    return _index_monomials(n, ((i,) * k for i in A))
 
 
 def schur(shape, n, A=None):

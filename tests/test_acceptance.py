@@ -45,8 +45,7 @@ from coinvarr.st_algebras import (
 from coinvarr.superspace import (
     artin_monomials,
     fubini,
-    sr_bigraded_dimensions,
-    verify_sr_basis,
+    sr_basis_certificate,
 )
 from coinvarr.symmetric import (
     coinvariant_generators,
@@ -107,13 +106,13 @@ def test_criterion_02_super_coinvariant_basis():
     start = time.perf_counter()
     ok = True
     for n, want in ((1, 1), (2, 3), (3, 13)):
-        table = sr_bigraded_dimensions(n)
-        ok = ok and verify_sr_basis(n, table)
+        table, certified = sr_basis_certificate(n)
+        ok = ok and certified
         ok = ok and sum(table.values()) == want == fubini(n)
     small_elapsed = time.perf_counter() - start
     ok = ok and small_elapsed < 10.0
-    table = sr_bigraded_dimensions(4)
-    ok = ok and verify_sr_basis(4, table)
+    table, certified = sr_basis_certificate(4)
+    ok = ok and certified
     ok = ok and sum(table.values()) == 75 == fubini(4)
     _gate(2, "decorated monomial basis, n <= 4", ok, time.perf_counter() - start, 600.0)
 

@@ -16,7 +16,7 @@ from coinvarr.cli import (
 from coinvarr.groebner import GroebnerResourceError, Ideal
 from coinvarr.polynomials import Polynomial
 from coinvarr.st_algebras import classify
-from coinvarr.superspace import rank_of_elements
+from coinvarr.superspace import invariant_ideal_rows, rank_of_elements
 
 
 def test_canon_values():
@@ -167,18 +167,25 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
 
 
 def test_super_basis_task_ranks_each_piece_once(monkeypatch):
-    # 16 ideal pieces at n = 3, plus one stacked rank per bidegree of the
-    # 8 that hold candidate monomials
+    # 16 ideal pieces at n = 3, each built once; one rank per piece plus one
+    # stacked rank per bidegree of the 8 that hold candidate monomials
     calls = []
+    built = []
 
     def counted(elements):
         calls.append(len(elements))
         return rank_of_elements(elements)
 
+    def counted_rows(n, i, j):
+        built.append((i, j))
+        return invariant_ideal_rows(n, i, j)
+
     monkeypatch.setattr(superspace, "rank_of_elements", counted)
+    monkeypatch.setattr(superspace, "invariant_ideal_rows", counted_rows)
     rows = SUITES["super-basis"].run(3, "n=3", RunConfig())
     assert rows == [("sr-basis", "n=3", True, True), ("sr-dimension", "n=3", 13, 13)]
     assert len(calls) == 24
+    assert len(built) == len(set(built)) == 16
 
 
 def test_task_exception_becomes_error_row(monkeypatch, tmp_path):

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from coinvarr import superspace
 from coinvarr.groebner import Ideal
-from coinvarr.polynomials import AmbientMismatch, Polynomial
+from coinvarr.polynomials import AmbientMismatch, Polynomial, rank_of_elements
 from coinvarr.superspace import (
     SuperElement,
     SuperMonomial,
@@ -17,11 +18,9 @@ from coinvarr.superspace import (
     fubini,
     invariant_generators,
     invariant_ideal_rows,
-    rank_of_elements,
     sn_act,
-    sr_bigraded_dimensions,
+    sr_basis_certificate,
     super_monomials,
-    verify_sr_basis,
 )
 from coinvarr.symmetric import coinvariant_generators, power_sum
 
@@ -357,7 +356,7 @@ def test_artin_monomials_display_n3():
 
 def test_bigraded_dimensions_match_monomial_bidegrees():
     for n in (1, 2, 3):
-        table = sr_bigraded_dimensions(n)
+        table, _ = sr_basis_certificate(n)
         counted = {}
         for m in artin_monomials(n):
             counted[m.bidegree()] = counted.get(m.bidegree(), 0) + 1
@@ -368,11 +367,30 @@ def test_bigraded_dimensions_match_monomial_bidegrees():
 
 def test_verify_sr_basis_small():
     for n in (1, 2, 3):
-        assert verify_sr_basis(n, sr_bigraded_dimensions(n))
-    # a table that disagrees with the candidate monomials fails
-    table = sr_bigraded_dimensions(2)
-    table[(0, 1)] += 1
-    assert not verify_sr_basis(2, table)
+        assert sr_basis_certificate(n)[1]
+
+
+def test_sr_basis_certificate_has_teeth(monkeypatch):
+    n = 3
+    table, ok = sr_basis_certificate(n)
+    assert ok
+    good = artin_monomials(n)
+    # at (2, 0) the right number of candidates can still be dependent
+    # modulo the ideal piece; find such a set by brute force
+    rows = invariant_ideal_rows(n, 2, 0)
+    dim = dim_bidegree(n, 2, 0)
+    dependent = next(
+        list(combo)
+        for combo in itertools.combinations(super_monomials(n, 2, 0), table[(2, 0)])
+        if rank_of_elements([SuperElement.monomial(m) for m in combo] + rows) < dim
+    )
+    swapped = [m for m in good if m.bidegree() != (2, 0)] + dependent
+    assert len(swapped) == len(good)
+    monkeypatch.setattr(superspace, "artin_monomials", lambda k: swapped)
+    assert sr_basis_certificate(n) == (table, False)
+    # a missing candidate fails too; the table never depends on the candidates
+    monkeypatch.setattr(superspace, "artin_monomials", lambda k: good[1:])
+    assert sr_basis_certificate(n) == (table, False)
 
 
 def test_stacked_rank_check_has_teeth():
