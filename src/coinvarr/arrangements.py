@@ -30,6 +30,8 @@ class Arrangement:
     __slots__ = ("n", "pairs", "_hash")
 
     def __init__(self, n, pairs):
+        if n < 0:
+            raise ValueError(f"arrangement needs n >= 0, got n={n}")
         self.n = n
         clean = set()
         for i, j in pairs:

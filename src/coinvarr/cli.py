@@ -1,8 +1,8 @@
 """Verification front end: plan instance lists, run check suites, emit reports.
 
-Every suite plans a deterministic list of (n, instance-key) tasks, runs a
-pure check per task, and the runner flattens the outcomes into report rows
-sorted by (check, n, instance).  A report row carries canonical expected and
+Every suite plans a deterministic list of (n, key, instance) tasks, runs a
+pure check per instance, and the runner flattens the outcomes into report
+rows sorted by (check, n, key).  A report row carries canonical expected and
 actual strings so that pass is literal string equality; elapsed milliseconds
 default to 0 and are opt-in, keeping reruns byte-identical for a fixed
 configuration.
@@ -69,6 +69,9 @@ from .symmetric import (
 
 SAMPLE_CAP = 64
 
+# largest degree the symmetric-toolkit suite sweeps
+DEGREE_CAP = 4
+
 EXAMPLE5 = Arrangement(
     5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (2, 5)]
 )
@@ -91,38 +94,15 @@ DISPLAY_DECORATED = (
 class RunConfig:
     """Options one run holds constant; everything here must pickle."""
 
-    __slots__ = (
-        "n",
-        "workers",
-        "prime",
-        "degree_cap",
-        "timings",
-        "seed",
-        "exhaustive",
-    )
+    __slots__ = ("n", "workers", "timings", "seed", "exhaustive")
 
-    def __init__(
-        self,
-        n=None,
-        workers=1,
-        prime=None,
-        degree_cap=4,
-        timings=False,
-        seed=None,
-        exhaustive=False,
-    ):
+    def __init__(self, n=None, workers=1, timings=False, seed=None, exhaustive=False):
         if n is not None and n < 1:
             raise ValueError("n must be positive")
         if workers < 1:
             raise ValueError("workers must be positive")
-        if degree_cap < 1:
-            raise ValueError("degree cap must be positive")
-        if prime is not None and prime < 2:
-            raise ValueError("prime must be at least 2")
         self.n = n
         self.workers = workers
-        self.prime = prime
-        self.degree_cap = degree_cap
         self.timings = timings
         self.seed = seed
         self.exhaustive = exhaustive
@@ -161,30 +141,23 @@ def _jkey(J):
     return "J={" + ",".join(str(j) for j in sorted(J)) + "}"
 
 
-def _jparse(key):
-    body = key[len("J={") : -1]
-    return frozenset(int(p) for p in body.split(",") if p)
-
-
 def _tkey(pairs):
     return "T=" + ",".join(f"{i}-{j}" for i, j in sorted(pairs))
-
-
-def _tparse(key):
-    body = key[len("T=") :]
-    out = set()
-    for part in body.split(","):
-        if part:
-            i, j = part.split("-")
-            out.add((int(i), int(j)))
-    return out
 
 
 # -- suites ------------------------------------------------------------------
 
 
 class Suite:
-    """One named family of checks with its planning and execution hooks."""
+    """One named family of checks with its planning and execution hooks.
+
+    plan(cfg, top) lists the tasks up to n = top as (n, key, instance)
+    triples: key is the string the report prints, instance the object the
+    check reads, and every (n, key) is distinct.  run(n, instance, cfg)
+    returns (check, expected, actual) rows; the runner attaches n and key
+    and canonicalizes both values.  count(cfg, top), when set, is the number
+    of tasks plan must list.
+    """
 
     __slots__ = ("name", "default_n", "cap", "plan", "run", "count", "doc")
 
@@ -199,7 +172,9 @@ class Suite:
 
 
 def _plan_all_j(cfg, top):
-    return [(n, _jkey(J)) for n in range(1, top + 1) for J in subsets(range(1, n + 1))]
+    return [
+        (n, _jkey(J), J) for n in range(1, top + 1) for J in subsets(range(1, n + 1))
+    ]
 
 
 def _count_all_j(cfg, top):
@@ -207,31 +182,30 @@ def _count_all_j(cfg, top):
 
 
 def _plan_staircase(cfg, top):
-    return _plan_all_j(cfg, top) + [
+    displays = [
         (5, "display:staircase"),
         (5, "display:skip-monomials"),
         (3, "display:decorated-monomials"),
     ]
+    return _plan_all_j(cfg, top) + [(n, key, key) for n, key in displays]
 
 
-def _run_staircase(n, key, cfg):
-    if key == "display:staircase":
-        return [("display", key, DISPLAY_STAIRCASE, canon(staircase({2, 4}, 5)))]
-    if key == "display:skip-monomials":
+def _run_staircase(n, J, cfg):
+    # J is a skip set, or the name of one of the frozen displays
+    if J == "display:staircase":
+        return [("display", DISPLAY_STAIRCASE, staircase({2, 4}, 5))]
+    if J == "display:skip-monomials":
         got = ", ".join(
             Polynomial.monomial(5, e).text() for e in staircase_monomials({2, 4}, 5)
         )
-        return [("display", key, DISPLAY_SKIP_MONOMIALS, got)]
-    if key == "display:decorated-monomials":
+        return [("display", DISPLAY_SKIP_MONOMIALS, got)]
+    if J == "display:decorated-monomials":
         got = ", ".join(m.text() for m in artin_monomials(3))
-        return [("display", key, DISPLAY_DECORATED, got)]
-    J = _jparse(key)
+        return [("display", DISPLAY_DECORATED, got)]
     want = tuple(sum(1 for j in range(1, i + 1) if j not in J) for i in range(1, n + 1))
-    got = staircase(J, n)
-    count = math.prod(want)
     return [
-        ("staircase", key, canon(want), canon(got)),
-        ("staircase-count", key, count, len(staircase_monomials(J, n))),
+        ("staircase", want, staircase(J, n)),
+        ("staircase-count", math.prod(want), len(staircase_monomials(J, n))),
     ]
 
 
@@ -240,26 +214,24 @@ def _count_staircase(cfg, top):
 
 
 def _plan_per_n(cfg, top):
-    return [(n, f"n={n}") for n in range(1, top + 1)]
+    return [(n, f"n={n}", n) for n in range(1, top + 1)]
 
 
-def _run_super_basis(n, key, cfg):
+def _run_super_basis(n, _, cfg):
     table, ok = sr_basis_certificate(n)
     return [
-        ("sr-basis", key, True, ok),
-        ("sr-dimension", key, fubini(n), sum(table.values())),
+        ("sr-basis", True, ok),
+        ("sr-dimension", fubini(n), sum(table.values())),
     ]
 
 
-def _run_skip_quotient(n, key, cfg):
-    return [("skip-quotient", key, True, verify_skip_quotient(_jparse(key), n))]
+def _run_skip_quotient(n, J, cfg):
+    return [("skip-quotient", True, verify_skip_quotient(J, n))]
 
 
 def _plan_colon(cfg, top):
     return [
-        (n, _jkey(J))
-        for n in range(1, top + 1)
-        for J in subsets(range(2, n + 1))
+        (n, _jkey(J), J) for n in range(1, top + 1) for J in subsets(range(2, n + 1))
     ]
 
 
@@ -267,21 +239,20 @@ def _count_colon(cfg, top):
     return sum(2 ** (n - 1) for n in range(1, top + 1))
 
 
-def _run_colon(n, key, cfg):
-    J = _jparse(key)
+def _run_colon(n, J, cfg):
     gens = skip_generators(J, n)
     coinv = Ideal(n, coinvariant_generators(n))
     quotient = colon(coinv, skip_forms_product(J, n))
     equal = ideal_equal(Ideal(n, gens), quotient)
     return [
-        ("regular-sequence", key, True, is_regular_sequence(gens, n)),
-        ("colon-equality", key, "equal", "equal" if equal else "different"),
+        ("regular-sequence", True, is_regular_sequence(gens, n)),
+        ("colon-equality", "equal", "equal" if equal else "different"),
     ]
 
 
 def _plan_saito_southwest(cfg, top):
     return [
-        (n, format_arrangement(A))
+        (n, format_arrangement(A), A)
         for n in range(1, top + 1)
         for A in enumerate_southwest(n)
     ]
@@ -291,149 +262,125 @@ def _count_saito_southwest(cfg, top):
     return sum(math.factorial(n + 1) for n in range(1, top + 1))
 
 
-def _run_saito_southwest(n, key, cfg):
-    A = parse_arrangement(key)
+def _run_saito_southwest(n, A, cfg):
     verdict = saito_check(southwest_basis(A), A)
-    return [("saito-southwest", key, "certified", "certified" if verdict else "rejected")]
+    return [("saito-southwest", "certified", "certified" if verdict else "rejected")]
 
 
-def _run_saito_skip(n, key, cfg):
-    J = _jparse(key)
+def _run_saito_skip(n, J, cfg):
     verdict = saito_check(skip_basis(J, n), skip_arrangement(J, n))
-    return [("saito-skip", key, "certified", "certified" if verdict else "rejected")]
+    return [("saito-skip", "certified", "certified" if verdict else "rejected")]
 
 
-def _run_char_poly(n, key, cfg):
-    J = _jparse(key)
+def _run_char_poly(n, J, cfg):
     A = skip_arrangement(J, n)
     mob = characteristic_polynomial(A)
-    want = roots_poly(staircase(J, n))
-    p = cfg.prime if cfg.prime is not None else smallest_prime_above(n * len(A))
+    p = smallest_prime_above(n * len(A))
     return [
-        ("char-poly-product", key, canon(want), canon(mob)),
-        ("char-poly-points", key, point_count(A, p), char_poly_eval(mob, p)),
+        ("char-poly-product", roots_poly(staircase(J, n)), mob),
+        ("char-poly-points", point_count(A, p), char_poly_eval(mob, p)),
     ]
 
 
 def _plan_cospan(cfg, top):
-    tasks = []
-    for n in range(1, top + 1):
-        for T in subsets(full_arrangement(n).sorted_pairs()):
-            tasks.append((n, _tkey(T)))
-    return tasks
+    return [
+        (n, _tkey(T), T)
+        for n in range(1, top + 1)
+        for T in subsets(full_arrangement(n).sorted_pairs())
+    ]
 
 
 def _count_cospan(cfg, top):
     return sum(2 ** (n * (n + 1) // 2) for n in range(1, top + 1))
 
 
-def _run_cospan(n, key, cfg):
-    ok = cospan_check(_tparse(key), n)
-    return [("cospan", key, "agree", "agree" if ok else "split")]
+def _run_cospan(n, T, cfg):
+    ok = cospan_check(T, n)
+    return [("cospan", "agree", "agree" if ok else "split")]
 
 
 def _plan_southwest_quotient(cfg, top):
-    tasks = [
-        (n, format_arrangement(A))
+    arrangements = [
+        A
         for n in range(1, min(top, 4) + 1)
         for A in enumerate_southwest(n, essential_only=True)
     ]
-    tasks.append((5, format_arrangement(EXAMPLE5)))
+    arrangements.append(EXAMPLE5)
     if top >= 5 and cfg.exhaustive:
-        tasks.extend(
-            (5, format_arrangement(A))
-            for A in enumerate_southwest(5, essential_only=True)
-            if A != EXAMPLE5
+        arrangements.extend(
+            A for A in enumerate_southwest(5, essential_only=True) if A != EXAMPLE5
         )
-    return tasks
+    return [(A.n, format_arrangement(A), A) for A in arrangements]
 
 
-def _run_southwest_quotient(n, key, cfg):
-    A = parse_arrangement(key)
+def _run_southwest_quotient(n, A, cfg):
     inst = classify(A, ones_map(n))
-    want = math.prod(column_counts(A))
     return [
-        ("box-basis", key, True, verify_box_basis(inst)),
-        ("hilbert-additivity", key, True, exact_sequence_check(inst)),
-        ("st-dimension", key, want, inst.dimension),
+        ("box-basis", True, verify_box_basis(inst)),
+        ("hilbert-additivity", True, exact_sequence_check(inst)),
+        ("st-dimension", math.prod(column_counts(A)), inst.dimension),
     ]
 
 
 def _plan_trichotomy(cfg, top):
-    tasks = [(2, "fixture:empty"), (2, "fixture:line")]
-    tasks.extend((n, "fixture:full") for n in range(1, top + 1))
-    return tasks
+    fixtures = [(2, "empty"), (2, "line")] + [(n, "full") for n in range(1, top + 1)]
+    return [(n, f"fixture:{name}", name) for n, name in fixtures]
 
 
-def _run_trichotomy(n, key, cfg):
-    if key == "fixture:empty":
+def _run_trichotomy(n, fixture, cfg):
+    if fixture == "empty":
         inst = classify(Arrangement(2, []), ones_map(2))
-        return [("trichotomy", key, "zero", inst.tag)]
-    if key == "fixture:line":
+        return [("trichotomy", "zero", inst.tag)]
+    if fixture == "line":
         one = Polynomial.one(2)
         x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
         basis = [Derivation([one, -one]), Derivation.euler(2)]
         inst = classify([x1 + x2], ones_map(2), basis=basis)
-        return [("trichotomy", key, "infinite", inst.tag)]
+        return [("trichotomy", "infinite", inst.tag)]
     inst = classify(full_arrangement(n), ones_map(n))
     return [
-        ("trichotomy", key, "poincare-duality", inst.tag),
-        ("st-dimension", key, math.factorial(n), inst.dimension),
-        ("hilbert-series", key, q_integer_product(range(1, n + 1)), inst.hilbert),
+        ("trichotomy", "poincare-duality", inst.tag),
+        ("st-dimension", math.factorial(n), inst.dimension),
+        ("hilbert-series", q_integer_product(range(1, n + 1)), inst.hilbert),
     ]
 
 
-def _random_polynomial(rng, n, degree_cap):
+def _random_polynomial(rng, n):
     terms = {}
     for _ in range(rng.randint(1, 6)):
-        exps = tuple(rng.randint(0, degree_cap) for _ in range(n))
+        exps = tuple(rng.randint(0, DEGREE_CAP) for _ in range(n))
         terms[exps] = terms.get(exps, 0) + rng.randint(-4, 4)
     return Polynomial(n, terms)
 
 
 def _plan_symmetric(cfg, top):
-    tasks = [((i % 3) + 1, f"poly-{i:03d}") for i in range(200)]
+    """Instances: a random-polynomial index (int), a Schur pair (A, shape),
+    or a duality subset A (frozenset)."""
+    tasks = [((i % 3) + 1, f"poly-{i:03d}", i) for i in range(200)]
     for n in range(1, top + 1):
         for A in subsets(range(1, n + 1)):
             akey = "{" + ",".join(str(a) for a in sorted(A)) + "}"
-            for total in range(1, cfg.degree_cap + 1):
+            for total in range(1, DEGREE_CAP + 1):
                 for shape in partitions(total):
                     if shape[0] > n - len(A):
-                        tasks.append((n, f"schur:A={akey};shape={shape}"))
-            tasks.append((n, f"duality:A={akey}"))
+                        tasks.append((n, f"schur:A={akey};shape={shape}", (A, shape)))
+            tasks.append((n, f"duality:A={akey}", A))
     return tasks
 
 
-def _run_symmetric(n, key, cfg):
-    if key.startswith("poly-"):
-        index = int(key[len("poly-") :])
+def _run_symmetric(n, instance, cfg):
+    if isinstance(instance, int):
         seed = cfg.seed if cfg.seed is not None else 0
-        rng = random.Random(f"{seed}:{index}")
-        f = _random_polynomial(rng, n, cfg.degree_cap)
-        direct = steinberg_member(f)
-        via_gb = Ideal(n, coinvariant_generators(n)).contains(f)
-        return [
-            (
-                "steinberg-agreement",
-                key,
-                "agree",
-                "agree" if direct == via_gb else "split",
-            )
-        ]
-    if key.startswith("schur:"):
-        body = key[len("schur:") :]
-        apart, spart = body.split(";shape=")
-        A = frozenset(
-            int(a) for a in apart[len("A={") : -1].split(",") if a
-        )
-        shape = tuple(int(s) for s in spart.strip("(),").split(",") if s)
+        f = _random_polynomial(random.Random(f"{seed}:{instance}"), n)
+        agree = steinberg_member(f) == Ideal(n, coinvariant_generators(n)).contains(f)
+        return [("steinberg-agreement", "agree", "agree" if agree else "split")]
+    if isinstance(instance, tuple):
+        A, shape = instance
         member = steinberg_member(schur(shape, n, A))
-        return [("schur-membership", key, "member", "member" if member else "outside")]
-    apart = key[len("duality:A={") : -1]
-    A = frozenset(int(a) for a in apart.split(",") if a)
-    B = frozenset(range(1, n + 1)) - A
-    ok = all(eh_duality_check(d, A, B, n) for d in range(cfg.degree_cap + 1))
-    return [("eh-duality", key, True, ok)]
+        return [("schur-membership", "member", "member" if member else "outside")]
+    B = frozenset(range(1, n + 1)) - instance
+    ok = all(eh_duality_check(d, instance, B, n) for d in range(DEGREE_CAP + 1))
+    return [("eh-duality", True, ok)]
 
 
 SUITES = {
@@ -544,15 +491,15 @@ SUITES = {
 
 def _execute(task):
     """Run one task; an exception becomes a failing error row, not a crash."""
-    name, n, key, cfg = task
+    name, n, key, instance, cfg = task
     start = time.perf_counter()
     try:
-        rows = SUITES[name].run(n, key, cfg)
+        rows = SUITES[name].run(n, instance, cfg)
     except Exception as exc:
         sys.stderr.write(f"coinvarr: {name} n={n} {key}\n{traceback.format_exc()}")
-        rows = [("error", key, "ok", type(exc).__name__)]
+        rows = [("error", "ok", type(exc).__name__)]
     ms = int((time.perf_counter() - start) * 1000) if cfg.timings else 0
-    return [(check, n, instance, expected, actual, ms) for check, instance, expected, actual in rows]
+    return [(check, n, key, expected, actual, ms) for check, expected, actual in rows]
 
 
 def run_suite(name, cfg):
@@ -568,14 +515,15 @@ def run_suite(name, cfg):
         tasks = suite.plan(cfg, top)
         if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
             rng = random.Random(cfg.seed)
-            tasks = sorted(rng.sample(tasks, SAMPLE_CAP))
+            # instances need not compare; (n, key) is unique per task
+            tasks = sorted(rng.sample(tasks, SAMPLE_CAP), key=lambda t: t[:2])
         elif suite.count is not None:
             want = suite.count(cfg, top)
             if len(tasks) != want:
                 raise RuntimeError(
                     f"suite {name} planned {len(tasks)} instances, expected {want}"
                 )
-        tasks = [(name, n, key, cfg) for n, key in tasks]
+        tasks = [(name, n, key, instance, cfg) for n, key, instance in tasks]
         if cfg.workers > 1:
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 chunks = list(pool.map(_execute, tasks, chunksize=8))
@@ -583,11 +531,7 @@ def run_suite(name, cfg):
             chunks = [_execute(t) for t in tasks]
     finally:
         clear_basis_cache()
-    reports = [
-        make_report(check, n, instance, expected, actual, ms)
-        for chunk in chunks
-        for check, n, instance, expected, actual, ms in chunk
-    ]
+    reports = [make_report(*row) for chunk in chunks for row in chunk]
     reports.sort(key=lambda r: (r["check"], r["n"], r["instance"]))
     return reports
 
@@ -652,10 +596,6 @@ def _build_parser():
     verify.add_argument("--format", choices=["json", "csv"], default="json")
     verify.add_argument("--workers", type=int, default=1)
     verify.add_argument(
-        "--prime", type=int, default=None, help="override the point-count prime"
-    )
-    verify.add_argument("--degree-cap", type=int, default=4, dest="degree_cap")
-    verify.add_argument(
         "--timings",
         action="store_true",
         help="record elapsed milliseconds (breaks byte-stability)",
@@ -684,25 +624,24 @@ def main(argv=None):
         cfg = RunConfig(
             n=args.n,
             workers=args.workers,
-            prime=args.prime,
-            degree_cap=args.degree_cap,
             timings=args.timings,
             seed=args.sample,
             exhaustive=args.exhaustive,
         )
-    except ValueError as err:
+        # a path that cannot be written fails before any suite runs
+        out = open(args.out, "w") if args.out else sys.stdout
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"coinvarr: error: {err}\n")
         return 2
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
-    for name in names:
-        reports.extend(run_suite(name, cfg))
-    payload = emit_report(reports, args.format)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    try:
+        for name in names:
+            reports.extend(run_suite(name, cfg))
+        out.write(emit_report(reports, args.format))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     failures = sum(1 for r in reports if not r["pass"])
     if failures:
         sys.stderr.write(f"{failures} of {len(reports)} checks failed\n")

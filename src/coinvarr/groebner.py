@@ -19,12 +19,12 @@ GroebnerResourceError instead of exhausting memory.
 from __future__ import annotations
 
 import heapq
-import itertools
 import os
 
 from .polynomials import (
     AmbientMismatch,
     Polynomial,
+    box_monomials,
     coeff_div,
     exact_divide,
     grevlex_key,
@@ -280,7 +280,7 @@ class Ideal:
         leads = self._lead_exps()
         out = [
             exps
-            for exps in itertools.product(*map(range, bounds))
+            for exps in box_monomials(bounds)
             if not any(all(a >= b for a, b in zip(exps, le)) for le in leads)
         ]
         out.sort(key=grevlex_key)

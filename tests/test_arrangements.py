@@ -110,6 +110,9 @@ def test_arrangement_basics():
         Arrangement(3, [(1, 1)])
     with pytest.raises(ValueError):
         Arrangement(3, [(0, 4)])
+    with pytest.raises(ValueError):
+        Arrangement(-1, [])
+    assert len(Arrangement(0, [])) == 0
     assert braid_arrangement(3).pairs == frozenset([(1, 2), (1, 3), (2, 3)])
 
 

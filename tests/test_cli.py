@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coinvarr import cli, groebner, st_algebras, superspace
-from coinvarr.arrangements import format_arrangement, full_arrangement
+from coinvarr.arrangements import full_arrangement
 from coinvarr.cli import (
     RunConfig,
     SUITES,
@@ -42,10 +42,6 @@ def test_run_config_validation():
         RunConfig(n=0)
     with pytest.raises(ValueError):
         RunConfig(workers=0)
-    with pytest.raises(ValueError):
-        RunConfig(degree_cap=0)
-    with pytest.raises(ValueError):
-        RunConfig(prime=1)
 
 
 def test_run_suite_unknown_name():
@@ -137,10 +133,32 @@ def test_sampling_caps_and_is_deterministic():
     assert {r["instance"] for r in other} != {r["instance"] for r in one}
 
 
-def test_workers_do_not_change_reports():
-    serial = run_suite("skip-quotient", RunConfig(n=3))
-    pooled = run_suite("skip-quotient", RunConfig(n=3, workers=2))
+# one suite per instance type, so a pooled run pickles each of them:
+# arrangements, pair sets, symmetric tuples, fixture strings and skip sets
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        ("southwest-quotient", 3),
+        ("cospan", 2),
+        ("symmetric-toolkit", 2),
+        ("trichotomy", 2),
+        ("skip-quotient", 3),
+    ],
+)
+def test_workers_do_not_change_reports(name, n):
+    serial = run_suite(name, RunConfig(n=n))
+    pooled = run_suite(name, RunConfig(n=n, workers=2))
     assert serial == pooled
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_plan_keys_are_distinct(name):
+    # sampling and the report sort order tasks by (n, key) alone
+    suite = SUITES[name]
+    tasks = suite.plan(RunConfig(exhaustive=True), suite.cap)
+    assert all(len(task) == 3 for task in tasks)
+    keys = [(n, key) for n, key, _ in tasks]
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -160,8 +178,7 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
 
     monkeypatch.setattr(cli, "classify", counted)
     monkeypatch.setattr(st_algebras, "classify", counted)
-    key = format_arrangement(full_arrangement(3))
-    rows = SUITES["southwest-quotient"].run(3, key, RunConfig())
+    rows = SUITES["southwest-quotient"].run(3, full_arrangement(3), RunConfig())
     assert [r[0] for r in rows] == ["box-basis", "hilbert-additivity", "st-dimension"]
     assert len(calls) == 3
 
@@ -182,8 +199,8 @@ def test_super_basis_task_ranks_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(superspace, "rank_of_elements", counted)
     monkeypatch.setattr(superspace, "invariant_ideal_rows", counted_rows)
-    rows = SUITES["super-basis"].run(3, "n=3", RunConfig())
-    assert rows == [("sr-basis", "n=3", True, True), ("sr-dimension", "n=3", 13, 13)]
+    rows = SUITES["super-basis"].run(3, 3, RunConfig())
+    assert rows == [("sr-basis", True, True), ("sr-dimension", 13, 13)]
     assert len(calls) == 24
     assert len(built) == len(set(built)) == 16
 
@@ -191,10 +208,10 @@ def test_super_basis_task_ranks_each_piece_once(monkeypatch):
 def test_task_exception_becomes_error_row(monkeypatch, tmp_path):
     original = SUITES["trichotomy"].run
 
-    def flaky(n, key, cfg):
-        if key == "fixture:line":
+    def flaky(n, instance, cfg):
+        if instance == "line":
             raise GroebnerResourceError("term cap exceeded")
-        return original(n, key, cfg)
+        return original(n, instance, cfg)
 
     monkeypatch.setattr(SUITES["trichotomy"], "run", flaky)
     out = tmp_path / "report.json"
@@ -241,6 +258,20 @@ def test_main_bad_input_exits_2(capsys):
     assert "n must be positive" in capsys.readouterr().err
     assert main(["show", "arrangement", "garbage"]) == 2
     assert "bad arrangement syntax" in capsys.readouterr().err
+    assert main(["show", "arrangement", "n=-1;H:"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n >= 0" in captured.err
+
+
+def test_unwritable_out_fails_before_any_suite(monkeypatch, capsys, tmp_path):
+    def no_run(name, cfg):
+        raise AssertionError("a suite ran before the output was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "staircase", "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("coinvarr: error:")
+    assert not out.exists()
 
 
 def test_main_csv_output(tmp_path):
