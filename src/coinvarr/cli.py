@@ -355,8 +355,11 @@ def _random_polynomial(rng, n):
 
 def _plan_symmetric(cfg, top):
     """Instances: a random-polynomial index (int), a Schur pair (A, shape),
-    or a duality subset A (frozenset)."""
-    tasks = [((i % 3) + 1, f"poly-{i:03d}", i) for i in range(200)]
+    or a duality subset A (frozenset).  Random polynomial i lives at
+    n = (i % 3) + 1 and is planned only when that n is at most top."""
+    tasks = [
+        ((i % 3) + 1, f"poly-{i:03d}", i) for i in range(200) if (i % 3) + 1 <= top
+    ]
     for n in range(1, top + 1):
         for A in subsets(range(1, n + 1)):
             akey = "{" + ",".join(str(a) for a in sorted(A)) + "}"

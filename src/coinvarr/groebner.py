@@ -6,10 +6,20 @@ ideal this library touches (n <= 5, small degrees); signature-based
 algorithms would buy nothing here and cost auditability.
 
 Ideals, normal forms and leading terms all use grevlex.  Only
-groebner_basis takes a monomial order, as a key function on exponent tuples,
-so that colon can eliminate a fresh variable under the block order
-elim_key(1).  Reduced bases are canonical (monic, auto-reduced, sorted), so
-ideal equality is literal equality of reduced bases.
+groebner_basis takes a monomial order, as a descending rank on exponent
+tuples like grevlex_key, so that colon can eliminate a fresh variable under
+the block order elim_key(1).  Reduced bases are canonical (monic,
+auto-reduced, sorted by leading monomial, the smallest first), so ideal
+equality is literal equality of reduced bases.
+
+Reduction keeps each remainder's terms in a heap keyed by that rank
+(Monagan and Pearce, CASC 2007): sub_scaled pushes a term when it creates
+it, and pop_terms hands out the largest live term next, skipping entries
+whose term has cancelled.  So each term is ranked once, not once per
+reduction step.  normal_form takes leading terms from the memoised
+Polynomial.leading() and reads a monic basis element's term dict in place;
+reducers never write to the dicts of a basis, only to the remainder they
+own.
 
 The environment variable COINVARR_GB_TERM_CAP, when set, bounds the total
 number of stored terms across a basis-in-progress; exceeding it raises
@@ -18,8 +28,8 @@ GroebnerResourceError instead of exhausting memory.
 
 from __future__ import annotations
 
-import heapq
 import os
+from heapq import heappop, heappush
 
 from .polynomials import (
     AmbientMismatch,
@@ -28,6 +38,8 @@ from .polynomials import (
     coeff_div,
     exact_divide,
     grevlex_key,
+    keyed_heap,
+    pop_terms,
     sub_scaled,
 )
 
@@ -39,7 +51,10 @@ class GroebnerResourceError(RuntimeError):
 
 
 def elim_key(k):
-    """Block order eliminating the first k variables (grevlex inside blocks)."""
+    """Descending rank of the block order eliminating the first k variables.
+
+    Blocks compare first-block first, grevlex inside each block.
+    """
 
     def key(exps):
         return (grevlex_key(exps[:k]), grevlex_key(exps[k:]))
@@ -55,36 +70,37 @@ def _env_cap():
 # -- raw term-dict plumbing (hot path) --------------------------------------
 
 
-def _nf_dict(t, prepared, key):
-    """Fully reduce term dict t against prepared [(lead, poly dict)] rows."""
-    t = dict(t)
+def _nf_dict(t, heap, prepared, key):
+    """Fully reduce term dict t against prepared [(lead, monic poly dict)] rows.
+
+    t is consumed; heap is its keyed_heap, so each term is ranked once, when
+    it appears, and the largest live term comes next at every step.
+    """
     out = {}
-    while t:
-        e = max(t, key=key)
-        c = t.pop(e)
+    for e, c in pop_terms(t, heap):
         for le, g in prepared:
             if all(a >= b for a, b in zip(e, le)):
                 shift = tuple(a - b for a, b in zip(e, le))
-                t[e] = c
-                sub_scaled(t, g, c, shift)  # g is monic
+                sub_scaled(t, g, c, shift, heap, key)  # g is monic: cancels e
                 break
         else:
-            out[e] = c
+            out[e] = t.pop(e)
     return out
 
 
-def _monic(t, key):
-    lc = t[max(t, key=key)]
+def _monic(t, lc):
+    """t scaled by 1/lc; t itself, uncopied, when lc is 1."""
     if lc == 1:
-        return dict(t)
+        return t
     return {e: coeff_div(c, lc) for e, c in t.items()}
 
 
 def groebner_basis(polys, key=grevlex_key):
     """Reduced Groebner basis of the ideal generated by polys.
 
-    key is the monomial order, a sort key on exponent tuples.  Returns a
-    canonical list of monic Polynomials sorted by leading monomial.
+    key is the monomial order, a descending rank on exponent tuples (the
+    larger monomial ranks lower).  Returns a canonical list of monic
+    Polynomials sorted by leading monomial, the smallest first.
     """
     cap = _env_cap()
     nonzero = [p for p in polys if p]
@@ -95,10 +111,12 @@ def groebner_basis(polys, key=grevlex_key):
         if p.n != n:
             raise AmbientMismatch("generators disagree on ambient n")
 
-    # deterministic start: sort generators by leading monomial then content
+    # deterministic start: sort generators by leading monomial then content,
+    # the smallest lead first
     start = sorted(
-        ({e: c for e, c in p.terms.items()} for p in nonzero),
-        key=lambda t: (key(max(t, key=key)), sorted(t.items())),
+        (p.terms for p in nonzero),
+        key=lambda t: (min(map(key, t)), sorted(t.items())),
+        reverse=True,
     )
 
     basis = []  # term dicts, monic
@@ -108,9 +126,10 @@ def groebner_basis(polys, key=grevlex_key):
 
     def push(t, sugar):
         nonlocal total_terms
-        t = _monic(t, key)
+        lead = min(t, key=key)
+        t = _monic(t, t[lead])
         basis.append(t)
-        leads.append(max(t, key=key))
+        leads.append(lead)
         sugars.append(sugar)
         total_terms += len(t)
         if cap is not None and total_terms > cap:
@@ -128,7 +147,7 @@ def groebner_basis(polys, key=grevlex_key):
             li = leads[i]
             lcm = tuple(max(a, b) for a, b in zip(li, lj))
             sugar = max(sugars[i] - sum(li), dj) + sum(lcm)
-            heapq.heappush(heap, (sugar, key(lcm), i, j, lcm))
+            heappush(heap, (sugar, key(lcm), i, j, lcm))
 
     for t in start:
         idx = push(t, max(sum(e) for e in t))
@@ -136,7 +155,7 @@ def groebner_basis(polys, key=grevlex_key):
 
     done = set()
     while heap:
-        sugar, _, i, j, lcm = heapq.heappop(heap)
+        sugar, _, i, j, lcm = heappop(heap)
         done.add((i, j))
         li, lj = leads[i], leads[j]
         # coprimality criterion: disjoint leads give a reducible S-pair
@@ -156,35 +175,45 @@ def groebner_basis(polys, key=grevlex_key):
                     break
         if skip:
             continue
-        s = {}
-        sub_scaled(s, basis[i], -1, tuple(a - b for a, b in zip(lcm, li)))
-        sub_scaled(s, basis[j], 1, tuple(a - b for a, b in zip(lcm, lj)))
-        h = _nf_dict(s, list(zip(leads, basis)), key)
+        s, s_heap = {}, []
+        for g, lead, coeff in ((basis[i], li, -1), (basis[j], lj, 1)):
+            shift = tuple(a - b for a, b in zip(lcm, lead))
+            sub_scaled(s, g, coeff, shift, s_heap, key)
+        h = _nf_dict(s, s_heap, list(zip(leads, basis)), key)
         if h:
             idx = push(h, sugar)
             queue_pairs(idx)
 
     # minimalize: drop elements whose lead another lead divides
-    order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i]))
+    # (smallest lead first, so a lead's divisors are met before it)
+    order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i]), reverse=True)
     kept = []
     for i in order_idx:
         if any(all(a <= b for a, b in zip(leads[k], leads[i])) for k in kept):
             continue
         kept.append(i)
-    # inter-reduce tails for the canonical reduced basis
+    # inter-reduce tails for the canonical reduced basis; no other lead
+    # divides a kept lead, so each keeps its lead and kept's order
     reduced = []
-    for pos, i in enumerate(kept):
+    for i in kept:
         others = [(leads[k], basis[k]) for k in kept if k != i]
-        t = _nf_dict(basis[i], others, key)
-        reduced.append(_monic(t, key))
-    reduced.sort(key=lambda t: key(max(t, key=key)))
-    return [Polynomial._from_terms(n, t) for t in reduced]
+        t = dict(basis[i])
+        t = _nf_dict(t, keyed_heap(t, key), others, key)
+        reduced.append(Polynomial._from_terms(n, t))
+    return reduced
 
 
 def normal_form(f, basis):
     """Fully reduce f against a list of Polynomials (typically a GB)."""
-    prepared = [(p.leading()[0], _monic(p.terms, grevlex_key)) for p in basis if p]
-    return Polynomial._from_terms(f.n, _nf_dict(f.terms, prepared, grevlex_key))
+    prepared = []
+    for p in basis:
+        if p:
+            lead, lc = p.leading()
+            prepared.append((lead, _monic(p.terms, lc)))
+    t = dict(f.terms)
+    return Polynomial._from_terms(
+        f.n, _nf_dict(t, keyed_heap(t, grevlex_key), prepared, grevlex_key)
+    )
 
 
 def s_polynomial(f, g):
@@ -283,7 +312,7 @@ class Ideal:
             for exps in box_monomials(bounds)
             if not any(all(a >= b for a, b in zip(exps, le)) for le in leads)
         ]
-        out.sort(key=grevlex_key)
+        out.sort(key=grevlex_key, reverse=True)
         return out
 
     def dimension(self):

@@ -10,13 +10,23 @@ equal to the int, so equality, hashing and text() do not see the difference.
 Mixing polynomials with different ambient n raises AmbientMismatch rather
 than guessing a coercion.
 
-The one monomial order is grevlex, exposed as the key function grevlex_key
-on exponent tuples, so that leading terms, exact division, Groebner code and
-canonical printing share one definition.  Plain tuple comparison is lex.
+The one monomial order is grevlex, exposed as grevlex_key, so that leading
+terms, exact division, Groebner code and canonical printing share one
+definition.  A monomial order is keyed as a descending rank on exponent
+tuples: the larger monomial ranks lower, so min() gives the leading term,
+sorted() lists terms from the largest down, and a heap pops the largest
+first.  Plain tuple comparison is lex.
+
+Division keeps its remainder's terms in a keyed_heap: sub_scaled pushes the
+rank of each term it creates, and pop_terms hands out the largest live term
+and skips entries whose term has since cancelled, so each term is ranked
+once rather than at every step.  Polynomial.leading() memoises the leading
+exponent, like the hash.
 
 It is also the one home of the kernels the other layers share: shifted
-subtraction (sub_scaled), box enumeration, monomial text, and exact linear
-algebra (matrix_determinant and the fraction-free rank_of_elements).
+subtraction (sub_scaled) with keyed_heap and pop_terms, box enumeration,
+monomial text, and exact linear algebra (matrix_determinant and the
+fraction-free rank_of_elements).
 """
 
 from __future__ import annotations
@@ -25,7 +35,9 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add
 
 
 class AmbientMismatch(ValueError):
@@ -33,12 +45,14 @@ class AmbientMismatch(ValueError):
 
 
 def grevlex_key(exps):
-    """Sort key for graded reverse lexicographic order.
+    """Descending rank of an exponent tuple in graded reverse lex order.
 
-    Compare total degree first; ties are broken so that the monomial whose
-    rightmost differing exponent is smaller wins.
+    The grevlex-larger monomial has the smaller rank: higher total degree
+    first, and within a degree the monomial whose rightmost differing
+    exponent is smaller.  So min() finds the leading term, sorted() lists
+    terms from the largest down, and a heap pops the largest first.
     """
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (-sum(exps), exps[::-1])
 
 
 def _coerce(c):
@@ -61,15 +75,49 @@ def coeff_div(a, b):
     return q if not r else Fraction(a, b)
 
 
-def sub_scaled(t, g, coeff, shift):
-    """t -= coeff * x^shift * g, in place on term dicts."""
+def keyed_heap(t, key):
+    """A heap of (key(e), e) over the exponents of term dict t.
+
+    sub_scaled keeps it in step with t, and pop_terms reads t's terms from
+    it largest first in the order whose descending rank is key.
+    """
+    heap = [(key(e), e) for e in t]
+    heapify(heap)
+    return heap
+
+
+def pop_terms(t, heap):
+    """Yield the live terms (e, c) of t from its keyed_heap, largest first.
+
+    Between steps the consumer may change t through sub_scaled; terms keep
+    coming largest first as long as each new term lies below the one just
+    yielded, as in division.  Entries whose term has cancelled are skipped.
+    """
+    while heap:
+        e = heappop(heap)[1]
+        c = t.get(e)
+        if c is not None:
+            yield e, c
+
+
+def sub_scaled(t, g, coeff, shift, heap, key):
+    """t -= coeff * x^shift * g, in place on term dicts.
+
+    Each term this creates in t is pushed onto t's keyed_heap, so every
+    exponent is ranked once, when it appears, not at every reduction step.
+    """
     for e, c in g.items():
-        k = tuple(a + b for a, b in zip(shift, e))
-        s = t.get(k, 0) - coeff * c
-        if s:
-            t[k] = s
+        k = tuple(map(add, shift, e))
+        s = t.get(k)
+        if s is None:
+            t[k] = -coeff * c
+            heappush(heap, (key(k), k))
         else:
-            t.pop(k, None)
+            s -= coeff * c
+            if s:
+                t[k] = s
+            else:
+                del t[k]
 
 
 def box_monomials(bounds):
@@ -85,7 +133,7 @@ def monomial_factors(exps):
 class Polynomial:
     """Immutable exact polynomial in variables x1..xn over Q."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms", "_hash", "_lead")
 
     def __init__(self, n, terms=None):
         if n < 0:
@@ -103,6 +151,7 @@ class Polynomial:
                 clean[exps] = c
         self.terms = clean
         self._hash = None
+        self._lead = None
 
     @classmethod
     def _from_terms(cls, n, terms):
@@ -116,6 +165,7 @@ class Polynomial:
         self.n = n
         self.terms = terms
         self._hash = None
+        self._lead = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -245,10 +295,15 @@ class Polynomial:
         return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def leading(self):
-        """(exponent tuple, coefficient) of the grevlex-maximal term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grevlex_key)
+        """(exponent tuple, coefficient) of the grevlex-maximal term.
+
+        The exponent is found once and memoised, like the hash.
+        """
+        e = self._lead
+        if e is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            e = self._lead = min(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
     # -- calculus --------------------------------------------------------
@@ -312,7 +367,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         chunks = []
-        for e in sorted(self.terms, key=grevlex_key, reverse=True):
+        for e in sorted(self.terms, key=grevlex_key):
             c = self.terms[e]
             factors = monomial_factors(e)
             mag = abs(c)
@@ -430,15 +485,15 @@ def exact_divide(f, g):
         return Polynomial.zero(f.n)
     ge, gc = g.leading()
     work = dict(f.terms)
+    heap = keyed_heap(work, grevlex_key)
     quot = {}
-    while work:
-        e = max(work, key=grevlex_key)
+    for e, c in pop_terms(work, heap):
         if any(ei < gi for ei, gi in zip(e, ge)):
             return None
         shift = tuple(ei - gi for ei, gi in zip(e, ge))
-        q = coeff_div(work[e], gc)
+        q = coeff_div(c, gc)
         quot[shift] = q
-        sub_scaled(work, g.terms, q, shift)  # cancels the leading term e
+        sub_scaled(work, g.terms, q, shift, heap, grevlex_key)  # cancels e
     return Polynomial._from_terms(f.n, quot)
 
 

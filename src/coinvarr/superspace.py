@@ -225,7 +225,7 @@ def super_monomials(n, i, j):
     """All monomials of bidegree (i, j), deterministic order."""
     if i < 0 or j < 0 or j > n:
         return []
-    exps_list = sorted(complete(i, n).terms, key=grevlex_key, reverse=True)
+    exps_list = sorted(complete(i, n).terms, key=grevlex_key)
     out = []
     for thetas in itertools.combinations(range(1, n + 1), j):
         for exps in exps_list:

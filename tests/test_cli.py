@@ -151,6 +151,13 @@ def test_workers_do_not_change_reports(name, n):
     assert serial == pooled
 
 
+def test_n_caps_symmetric_toolkit():
+    # --n is the largest n to sweep, for the random polynomials too
+    reports = run_suite("symmetric-toolkit", RunConfig(n=1))
+    assert reports
+    assert all(r["n"] == 1 for r in reports)
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_plan_keys_are_distinct(name):
     # sampling and the report sort order tasks by (n, key) alone

@@ -20,7 +20,7 @@ from coinvarr.groebner import (
     normal_form,
     s_polynomial,
 )
-from coinvarr.polynomials import Polynomial, variables
+from coinvarr.polynomials import Polynomial, coeff_div, grevlex_key, variables
 from coinvarr.symmetric import coinvariant_generators, elementary
 
 
@@ -28,16 +28,110 @@ def _parse(s, n):
     return Polynomial.parse(s, n)
 
 
+def _lex_key(exps):
+    """Descending rank of lex order: the lex-larger tuple ranks lower."""
+    return tuple(-e for e in exps)
+
+
 def test_groebner_lex_fixture():
-    # hand-derived: S(x1+x2, x1*x2) = x2^2 under lex, already reduced;
-    # plain tuple comparison is the lex order
+    # hand-derived: S(x1+x2, x1*x2) = x2^2 under lex, already reduced
     x1, x2 = variables(2)
-    gb = groebner_basis([x1 + x2, x1 * x2], key=tuple)
+    gb = groebner_basis([x1 + x2, x1 * x2], key=_lex_key)
     assert [g.text() for g in gb] == ["x2^2", "x1+x2"] or [
         g.text() for g in gb
     ] == ["x1+x2", "x2^2"]
     texts = {g.text() for g in gb}
     assert texts == {"x1+x2", "x2^2"}
+
+
+def _ref_nf(t, basis, key):
+    """Reference reducer: rank the whole remainder at every step.
+
+    This is the reduction without a heap: the leading term is the min of
+    key over every live term.  basis holds (lead, monic term dict) pairs.
+    """
+    t = dict(t)
+    out = {}
+    while t:
+        e = min(t, key=key)
+        c = t.pop(e)
+        for le, g in basis:
+            if all(a >= b for a, b in zip(e, le)):
+                shift = tuple(a - b for a, b in zip(e, le))
+                for ge, gc in g.items():
+                    k = tuple(a + b for a, b in zip(shift, ge))
+                    if k != e:
+                        s = t.get(k, 0) - c * gc
+                        if s:
+                            t[k] = s
+                        else:
+                            t.pop(k, None)
+                break
+        else:
+            out[e] = c
+    return out
+
+
+def _ref_monic(t, key):
+    lead = min(t, key=key)
+    return lead, {e: coeff_div(c, t[lead]) for e, c in t.items()}
+
+
+def _ref_groebner(polys, key):
+    """Reduced basis by textbook Buchberger over _ref_nf, as sorted term dicts."""
+    basis = [_ref_monic(p.terms, key) for p in polys if p]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop(0)
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        if not any(a and b for a, b in zip(li, lj)):
+            continue  # coprime leads: the S-polynomial reduces to zero
+        lcm = tuple(max(a, b) for a, b in zip(li, lj))
+        s = {}
+        for g, lead, sign in ((gi, li, 1), (gj, lj, -1)):
+            shift = tuple(a - b for a, b in zip(lcm, lead))
+            for e, c in g.items():
+                k = tuple(a + b for a, b in zip(shift, e))
+                s[k] = s.get(k, 0) + sign * c
+        h = _ref_nf({e: c for e, c in s.items() if c}, basis, key)
+        if h:
+            basis.append(_ref_monic(h, key))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []  # smallest lead first; drop a lead that a kept one divides
+    for le, g in sorted(basis, key=lambda lg: key(lg[0]), reverse=True):
+        if not any(all(a >= b for a, b in zip(le, lk)) for lk, _ in minimal):
+            minimal.append((le, g))
+    reduced = []
+    for le, g in minimal:
+        others = [(lk, gk) for lk, gk in minimal if lk != le]
+        reduced.append((key(le), _ref_nf(g, others, key)))
+    return [t for _, t in sorted(reduced, reverse=True)]
+
+
+def _random_sparse(rng, n, max_deg, max_terms):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(n))
+        terms[exps] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return Polynomial(n, terms)
+
+
+def test_heap_reduction_matches_whole_remainder_reference():
+    # the heap reducers must pop terms in exactly the order of the key: the
+    # reference ranks the whole remainder at every step, as the reduction
+    # did before it kept a heap
+    rng = random.Random(1009)
+    for _ in range(24):
+        n = rng.randint(3, 4)
+        polys = [_random_sparse(rng, n, 2, 3) for _ in range(rng.randint(2, 3))]
+        for key in (grevlex_key, elim_key(1)):
+            gb = groebner_basis(polys, key=key)
+            assert [g.terms for g in gb] == _ref_groebner(polys, key)
+        gb = groebner_basis(polys)
+        prepared = [(g.leading()[0], g.terms) for g in gb]
+        for _ in range(4):
+            f = _random_sparse(rng, n, 3, 6)
+            assert normal_form(f, gb).terms == _ref_nf(f.terms, prepared, grevlex_key)
 
 
 def test_normal_form_fixture():
@@ -90,9 +184,8 @@ def test_membership_agrees_across_orders():
             },
         )
         # lex membership: f joins the ideal without changing its lex basis
-        assert I.contains(f) == (
-            groebner_basis(gens + [f], key=tuple) == groebner_basis(gens, key=tuple)
-        )
+        lex_gb = groebner_basis(gens, key=_lex_key)
+        assert I.contains(f) == (groebner_basis(gens + [f], key=_lex_key) == lex_gb)
 
 
 def test_standard_monomials_fixture():
@@ -258,10 +351,32 @@ def test_regular_sequence_judgement():
 
 def test_elim_key_orders_out_first_block():
     key = elim_key(1)
-    # any power of the eliminated variable beats any x-only monomial
-    assert key((1, 0, 0)) > key((0, 9, 9))
+    # any power of the eliminated variable beats any x-only monomial, and
+    # the larger monomial has the smaller (descending) rank
+    assert key((1, 0, 0)) < key((0, 9, 9))
     # within fixed t-degree the x-block uses grevlex
-    assert key((1, 1, 0)) > key((1, 0, 1))
+    assert key((1, 1, 0)) < key((1, 0, 1))
+
+
+def test_cached_bases_are_never_mutated():
+    # the reducers read basis and generator dicts in place, without copying
+    rng = random.Random(1201)
+    for n in (2, 3):
+        gens = coinvariant_generators(n) + [_random_sparse(rng, n, 2, 3)]
+        texts = [g.text() for g in gens]
+        I = Ideal(n, gens)
+        for _ in range(40):
+            f = _random_sparse(rng, n, 4, 6)
+            before = dict(f.terms)
+            I.normal_form(f)
+            I.contains(f * f)
+            colon(I, _random_sparse(rng, n, 1, 2))
+            assert f.terms == before
+        cached = I.groebner()
+        fresh = groebner_basis(list(gens))
+        assert [g.terms for g in cached] == [g.terms for g in fresh]
+        assert [g.leading() for g in cached] == [g.leading() for g in fresh]
+        assert [g.text() for g in gens] == texts
 
 
 def test_term_cap_env(monkeypatch):

@@ -269,13 +269,46 @@ def test_exact_divide_random_products():
         assert exact_divide(g * h, g) == h
 
 
+def test_exact_divide_past_cancellations():
+    # dividing f = g*h by g cancels f's term x1^2*x2 in one step and creates
+    # it again in a later one, so a stale entry for it is popped and skipped
+    g = Polynomial.parse("2*x1^2-2*x1*x2+2", 2)
+    h = Polynomial.parse("-x1^2*x2-2*x1-2*x2", 2)
+    assert exact_divide(g * h, g) == h
+    # x2^3 lies below lead(g*h) = x1^4*x2, and lead(g) = x1^2 does not divide it
+    assert exact_divide(g * h + Polynomial.parse("x2^3", 2), g) is None
+    rng = random.Random(707)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        g = _random_poly(rng, n, max_deg=2, max_terms=4)
+        h = _random_poly(rng, n, max_deg=2, max_terms=4)
+        if not g or not h:
+            continue
+        f = g * h
+        assert exact_divide(f, g) == h
+        top, ge = f.leading()[0], g.leading()[0]
+        r = tuple(rng.randint(0, 3) for _ in range(n))
+        if grevlex_key(r) <= grevlex_key(top) or all(a >= b for a, b in zip(r, ge)):
+            continue
+        assert exact_divide(f + Polynomial.monomial(n, r, 3), g) is None
+        checked += 1
+    assert checked >= 10
+
+
 def test_monomial_order_keys():
-    # classic grevlex vs lex disagreement: x1*x3 vs x2^2 (n=3)
+    # classic grevlex vs lex disagreement: x1*x3 vs x2^2 (n=3); grevlex_key
+    # is a descending rank, so the grevlex-larger x2^2 ranks lower
     a, b = (1, 0, 1), (0, 2, 0)
-    assert grevlex_key(a) < grevlex_key(b)
+    assert grevlex_key(a) > grevlex_key(b)
     assert a > b  # plain tuple comparison is lex
     # grevlex sorts by total degree first
-    assert grevlex_key((3, 0, 0)) > grevlex_key((1, 1, 0))
+    assert grevlex_key((3, 0, 0)) < grevlex_key((1, 1, 0))
+    assert sorted([(1, 1, 0), (0, 0, 0), (3, 0, 0)], key=grevlex_key) == [
+        (3, 0, 0),
+        (1, 1, 0),
+        (0, 0, 0),
+    ]
     # lex fixture from the exponent tuples of x1 > x2 > x3
     assert (1, 0, 0) > (0, 9, 9)
 

@@ -314,6 +314,15 @@ def test_super_monomials_count_and_uniqueness():
             for j in range(n + 2):
                 mons = super_monomials(n, i, j)
                 assert len(mons) == len(set(mons)) == dim_bidegree(n, i, j)
+    # within a t_J block the x-monomials run grevlex-descending
+    assert [m.exps for m in super_monomials(3, 2, 0)] == [
+        (2, 0, 0),
+        (1, 1, 0),
+        (0, 2, 0),
+        (1, 0, 1),
+        (0, 1, 1),
+        (0, 0, 2),
+    ]
 
 
 def _fubini_literal(n):
