@@ -14,6 +14,10 @@ collects (i, j) for j > i.  An arrangement is "southwest closed" when with
 every dot it contains the next dot one step toward the lower left, i.e.
 (i, j) in A with j > i + 1 forces (i, j - 1) in A; concretely every row is a
 prefix interval.
+
+Point counts over Z/p check characteristic polynomials by the finite-field
+method (Athanasiadis 1996); point_count takes one exact route for every p,
+inclusion-exclusion over hyperplane subsets.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .polynomials import Polynomial, box_monomials, coeff_div, variables
+from .polynomials import Polynomial, box_monomials, variables
 
 
 class Arrangement:
@@ -146,29 +150,11 @@ def linear_forms(A):
     return [linear_form(p, A.n) for p in A.sorted_pairs()]
 
 
-def defining_polynomial(A):
-    """Product of the forms, normalized to lex-leading coefficient +1."""
-    q = Polynomial.one(A.n)
-    for p in A.sorted_pairs():
-        q = q * linear_form(p, A.n)
-    if q:
-        lc = q.terms[max(q.terms)]  # tuples compare in lex order
-        if lc != 1:
-            q = q * coeff_div(1, lc)
-    return q
-
-
-def complement_product(A):
-    """Product of the ambient forms missing from A (lex-monic)."""
-    missing = Arrangement(A.n, full_arrangement(A.n).pairs - A.pairs)
-    return defining_polynomial(missing)
-
-
 def skip_forms_product(skips, n):
     """prod over skipped j of x_j * prod_{i>j} (x_j - x_i).
 
-    Equals the complement product of skip_arrangement(skips, n); the tests
-    pin that equality.
+    Equals the product of the ambient forms missing from
+    skip_arrangement(skips, n); the tests pin that equality.
     """
     skips = _skipset(skips, n)
     xs = variables(n)
@@ -411,27 +397,11 @@ def smallest_prime_above(m):
 def point_count(A, p):
     """Number of points of (Z/p)^n lying on none of the hyperplanes.
 
-    Small search spaces are enumerated literally.  Larger ones use
-    inclusion-exclusion over hyperplane subsets with the intersection
-    dimension read off a union-find; the tests pin agreement of the two
-    routes where both run.
+    Inclusion-exclusion over hyperplane subsets: a subset S cuts out a
+    subspace of dimension n - rank(S), read off a union-find on the graph
+    on {0..n}, so it contributes (-1)^|S| p^(n - rank(S)).  The work is
+    2^|A| subsets whatever p is.
     """
-    if p ** A.n <= 300_000:
-        return _point_count_literal(A, p)
-    return _point_count_inclusion_exclusion(A, p)
-
-
-def _point_count_literal(A, p):
-    pairs = A.sorted_pairs()
-    count = 0
-    for point in itertools.product(range(p), repeat=A.n):
-        vals = (0,) + point
-        if all(vals[i] != vals[j] for i, j in pairs):
-            count += 1
-    return count
-
-
-def _point_count_inclusion_exclusion(A, p):
     edges = A.sorted_pairs()
     nv = A.n + 1
     total = 0

@@ -48,7 +48,14 @@ from .derivations import (
     skip_generators,
     southwest_basis,
 )
-from .groebner import Ideal, clear_basis_cache, colon, ideal_equal, is_regular_sequence
+from .groebner import (
+    Ideal,
+    clear_basis_cache,
+    colon,
+    ideal_equal,
+    is_regular_sequence,
+    term_cap,
+)
 from .polynomials import Polynomial
 from .st_algebras import (
     classify,
@@ -512,7 +519,12 @@ def run_suite(name, cfg):
         raise ValueError(f"unknown suite {name!r}")
     top = cfg.n if cfg.n is not None else suite.default_n
     allowed = suite.cap if cfg.exhaustive else suite.default_n
-    top = min(top, allowed)
+    if top > allowed:
+        sys.stderr.write(
+            f"coinvarr: {name} sweeps n <= {allowed}, not --n {top}; "
+            f"its --exhaustive limit is n = {suite.cap}\n"
+        )
+        top = allowed
     # the Groebner basis cache lives for one suite, not for the process
     try:
         tasks = suite.plan(cfg, top)
@@ -581,7 +593,12 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    verify.add_argument("--n", type=int, default=None, help="largest n to sweep")
+    verify.add_argument(
+        "--n",
+        type=int,
+        help="largest n to sweep; a suite stops at its default n (its hard cap "
+        "under --exhaustive) and says so on stderr",
+    )
     group = verify.add_mutually_exclusive_group()
     group.add_argument(
         "--exhaustive",
@@ -624,6 +641,7 @@ def main(argv=None):
         if args.command == "show":
             _show_arrangement(args.text, sys.stdout)
             return 0
+        term_cap()  # an invalid Groebner term cap fails before any suite runs
         cfg = RunConfig(
             n=args.n,
             workers=args.workers,

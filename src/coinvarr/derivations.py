@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .arrangements import (
     Arrangement,
-    column_counts,
     is_southwest,
     linear_forms,
     staircase,
@@ -53,13 +52,6 @@ class Derivation:
     @classmethod
     def zero(cls, n):
         return cls([Polynomial.zero(n)] * n)
-
-    @classmethod
-    def basis_vector(cls, n, k):
-        """The bare partial derivative in slot k (1-indexed)."""
-        cs = [Polynomial.zero(n)] * n
-        cs[k - 1] = Polynomial.one(n)
-        return cls(cs)
 
     @classmethod
     def euler(cls, n):

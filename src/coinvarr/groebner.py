@@ -62,9 +62,14 @@ def elim_key(k):
     return key
 
 
-def _env_cap():
+def term_cap():
+    """COINVARR_GB_TERM_CAP as a positive int, None when unset; else ValueError."""
     raw = os.environ.get(ENV_TERM_CAP)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{ENV_TERM_CAP} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 # -- raw term-dict plumbing (hot path) --------------------------------------
@@ -102,7 +107,7 @@ def groebner_basis(polys, key=grevlex_key):
     larger monomial ranks lower).  Returns a canonical list of monic
     Polynomials sorted by leading monomial, the smallest first.
     """
-    cap = _env_cap()
+    cap = term_cap()
     nonzero = [p for p in polys if p]
     if not nonzero:
         return []
@@ -269,9 +274,6 @@ class Ideal:
     def is_unit(self):
         gb = self.groebner()
         return len(gb) == 1 and gb[0].degree() == 0
-
-    def is_zero(self):
-        return not self.groebner()
 
     def _lead_exps(self):
         return [g.leading()[0] for g in self.groebner()]

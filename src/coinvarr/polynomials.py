@@ -291,9 +291,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, d):
-        return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def leading(self):
         """(exponent tuple, coefficient) of the grevlex-maximal term.
 
@@ -321,20 +318,6 @@ class Polynomial:
         return Polynomial._from_terms(self.n, out)
 
     # -- substitution ------------------------------------------------------
-
-    def specialize(self, point):
-        """Evaluate at a rational point (sequence of n ints/Fractions)."""
-        point = [_coerce(v) for v in point]
-        if len(point) != self.n:
-            raise AmbientMismatch(f"point has length {len(point)}, expected {self.n}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
 
     def set_var_zero(self, i):
         """Substitute x_i -> 0, staying in the same ambient ring."""

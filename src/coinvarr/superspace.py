@@ -186,27 +186,6 @@ def euler_d(omega):
     return out
 
 
-def sn_act(w, omega):
-    """Relabel both variable families along a permutation of 1..n.
-
-    x_i goes to x_w(i) inside each p_J, and t_J to the product of the
-    t_w(j) over j in J, taken in the order of J.
-    """
-    w = tuple(w)
-    n = omega.n
-    if sorted(w) != list(range(1, n + 1)):
-        raise ValueError("not a permutation of 1..n")
-    source = [w.index(k) for k in range(1, n + 1)]
-    out = SuperElement.zero(n)
-    for thetas, p in omega.parts.items():
-        moved = {tuple(e[s] for s in source): c for e, c in p.terms.items()}
-        image = SuperElement.from_polynomial(Polynomial(n, moved))
-        for j in thetas:
-            image = image * SuperElement.theta(n, w[j - 1])
-        out = out + image
-    return out
-
-
 def invariant_generators(n):
     """Positive-degree diagonal invariants generating the quotient ideal.
 

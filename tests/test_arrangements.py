@@ -12,8 +12,6 @@ from coinvarr.arrangements import (
     characteristic_polynomial,
     char_poly_eval,
     column_counts,
-    complement_product,
-    defining_polynomial,
     delete,
     diagram,
     enumerate_southwest,
@@ -35,10 +33,9 @@ from coinvarr.arrangements import (
     smallest_prime_above,
     staircase,
     staircase_monomials,
-    _point_count_inclusion_exclusion,
-    _point_count_literal,
+    subsets,
 )
-from coinvarr.polynomials import variables
+from coinvarr.polynomials import Polynomial, variables
 
 # the worked n=5 example used throughout: x1, x2, x1-x2, x1-x3, x2-x3,
 # x1-x4, x2-x4, x3-x4, x2-x5
@@ -121,13 +118,9 @@ def test_linear_forms():
     assert linear_form((0, 2), 3) == x2
     assert linear_form((1, 3), 3) == x1 - x3
     y1, y2 = variables(2)
-    assert defining_polynomial(braid_arrangement(2)) == y1 - y2
-    assert defining_polynomial(full_arrangement(2)) == y1 * y2 * (y1 - y2)
-    assert defining_polynomial(Arrangement(2, [])) == 1
-    # degree counts hyperplanes
-    for n in range(1, 5):
-        A = full_arrangement(n)
-        assert defining_polynomial(A).degree() == len(A)
+    assert linear_forms(braid_arrangement(2)) == [y1 - y2]
+    assert linear_forms(full_arrangement(2)) == [y1, y2, y1 - y2]
+    assert linear_forms(Arrangement(2, [])) == []
 
 
 def test_southwest_predicate_and_example():
@@ -180,7 +173,9 @@ def test_skip_products_match_complement():
         for r in range(0, n + 1):
             for skips in itertools.combinations(range(1, n + 1), r):
                 A = skip_arrangement(skips, n)
-                assert complement_product(A) == skip_forms_product(skips, n)
+                missing = Arrangement(n, full_arrangement(n).pairs - A.pairs)
+                product = math.prod(linear_forms(missing), start=Polynomial.one(n))
+                assert product == skip_forms_product(skips, n)
 
 
 def test_delete_and_column_counts():
@@ -336,7 +331,28 @@ def test_deletion_restriction_recurrence():
             ), sub
 
 
+def _point_count_literal(A, p):
+    # reference: test every point of (Z/p)^n against every form
+    pairs = A.sorted_pairs()
+    count = 0
+    for point in itertools.product(range(p), repeat=A.n):
+        vals = (0,) + point
+        if all(vals[i] != vals[j] for i, j in pairs):
+            count += 1
+    return count
+
+
 def test_point_count_routes_agree():
+    # every char-poly instance whose point space has at most 300000 points
+    small = 0
+    for n in range(1, 6):
+        for skips in subsets(range(1, n + 1)):
+            A = skip_arrangement(skips, n)
+            p = smallest_prime_above(n * len(A))
+            if p**n <= 300_000:
+                small += 1
+                assert point_count(A, p) == _point_count_literal(A, p), (n, skips)
+    assert small == 26
     rng = random.Random(91)
     for n in (2, 3):
         ambient = sorted(full_arrangement(n).pairs)
@@ -344,9 +360,7 @@ def test_point_count_routes_agree():
             sub = [p for p in ambient if rng.random() < 0.5]
             A = Arrangement(n, sub)
             p = smallest_prime_above(n * max(1, len(A)))
-            lit = _point_count_literal(A, p)
-            ie = _point_count_inclusion_exclusion(A, p)
-            assert lit == ie, (n, sub, p)
+            assert point_count(A, p) == _point_count_literal(A, p), (n, sub, p)
 
 
 def test_point_count_matches_characteristic_polynomial():

@@ -234,10 +234,50 @@ def test_task_exception_becomes_error_row(monkeypatch, tmp_path):
 
 
 def test_caps_clamp_without_exhaustive():
-    # cospan is hard-capped at n = 4; asking for more silently clamps
+    # cospan is hard-capped at n = 4; asking for more clamps
     cfg = RunConfig(n=9)
     reports = run_suite("cospan", cfg)
     assert max(r["n"] for r in reports) <= 4
+
+
+def test_clamped_n_is_reported_on_stderr(capsys, tmp_path):
+    # staircase sweeps n <= 5 by default and n <= 6 under --exhaustive
+    def run(*args):
+        out = tmp_path / "report.json"
+        assert main(["verify", "staircase", *args, "--out", str(out)]) == 0
+        *notes, summary = capsys.readouterr().err.splitlines()
+        assert summary.startswith("all ") and summary.endswith(" checks passed")
+        return out.read_bytes(), notes
+
+    limit = "its --exhaustive limit is n = 6"
+    default, notes = run("--n", "5")
+    assert notes == []
+    assert run("--n", "7") == (
+        default,
+        [f"coinvarr: staircase sweeps n <= 5, not --n 7; {limit}"],
+    )
+    exhaustive, notes = run("--exhaustive", "--n", "6")
+    assert notes == [] and exhaustive != default
+    assert run("--exhaustive", "--n", "9") == (
+        exhaustive,
+        [f"coinvarr: staircase sweeps n <= 6, not --n 9; {limit}"],
+    )
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_invalid_term_cap_exits_2_before_any_suite(monkeypatch, capsys, raw):
+    def no_run(name, cfg):
+        raise AssertionError("a suite ran with an invalid term cap")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    monkeypatch.setenv(groebner.ENV_TERM_CAP, raw)
+    assert main(["verify", "colon-generators", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "coinvarr: error: COINVARR_GB_TERM_CAP must be a positive integer, "
+        f"got {raw!r}\n"
+    )
 
 
 def test_harness_flags_corrupted_generator(monkeypatch):

@@ -19,6 +19,7 @@ from coinvarr.groebner import (
     is_regular_sequence,
     normal_form,
     s_polynomial,
+    term_cap,
 )
 from coinvarr.polynomials import Polynomial, coeff_div, grevlex_key, variables
 from coinvarr.symmetric import coinvariant_generators, elementary
@@ -203,7 +204,7 @@ def test_unit_and_zero_ideals():
     assert unit.dimension() == 0
     assert unit.standard_monomials() == []
     zero = Ideal(2, [])
-    assert zero.is_zero()
+    assert zero.groebner() == []
     assert not zero.is_artinian()
     assert zero.dimension() is None
 
@@ -386,3 +387,9 @@ def test_term_cap_env(monkeypatch):
         groebner_basis([x1 + x2, x1 * x2])
     monkeypatch.delenv(ENV_TERM_CAP)
     assert len(groebner_basis([x1 + x2, x1 * x2])) == 2
+    for raw in ("abc", "0", "-1"):
+        monkeypatch.setenv(ENV_TERM_CAP, raw)
+        with pytest.raises(ValueError, match=ENV_TERM_CAP):
+            groebner_basis([x1 + x2])
+    monkeypatch.setenv(ENV_TERM_CAP, "7")
+    assert term_cap() == 7

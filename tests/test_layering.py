@@ -1,4 +1,5 @@
-"""The package's import graph: each module imports only the layers below it."""
+"""The package's import graph: each module imports only the layers below it,
+and every public function and class has a caller inside the package."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,17 @@ from pathlib import Path
 import coinvarr
 
 SRC = Path(coinvarr.__file__).parent
+
+# public names no other package code uses, each with the reason it stays
+UNREFERENCED = {
+    "braid_arrangement": "the type A Coxeter arrangement, a fixture of the tests",
+    "coords_map": "the coefficient map beside ones_map; classify takes either",
+    "restrict_derivation": "restriction to x_p = 0, tested against is_derivation_of",
+    "is_chordal": "southwest graphs are chordal, against an induced-cycle oracle",
+    "is_derivation_of": "membership in D(A), the reference for restrict_derivation",
+    "s_polynomial": "Buchberger's criterion: S-pairs of a basis reduce to zero",
+    "colon_descent_check": "colon descent between nested arrangements, at n <= 3",
+}
 
 # module -> the coinvarr modules it may import; None means any
 ALLOWED = {
@@ -66,3 +78,24 @@ def test_no_private_name_crosses_a_module():
         for module, names in _imports(path):
             private = [name for name in names if name.startswith("_")]
             assert not private, (path.stem, module, private)
+
+
+def test_every_public_name_has_a_caller():
+    # a use is a Name or Attribute node outside the name's own definition;
+    # imports and strings such as __all__ entries do not count
+    public = set()
+    used = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own[0] != "_":
+                public.add(own)
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            used |= names - {own}
+    assert sorted(public - used - set(UNREFERENCED)) == []
+    assert set(UNREFERENCED) <= public - used

@@ -123,8 +123,6 @@ def test_ambient_mismatch_refused():
         a * b
     with pytest.raises(AmbientMismatch):
         diffop_apply(a, b)
-    with pytest.raises(AmbientMismatch):
-        a.specialize([1, 2, 3])
 
 
 def test_ring_axioms_random():
@@ -156,8 +154,6 @@ def test_degree_and_homogeneity():
     f = x1 * x1 + x2
     assert f.degree() == 2
     assert not f.is_homogeneous()
-    assert f.homogeneous_part(1) == x2 and f.homogeneous_part(2) == x1 * x1
-    assert f.homogeneous_part(0) == 0
     assert Polynomial.zero(2).degree() == -1
     assert Polynomial.zero(2).is_homogeneous()
 
@@ -178,16 +174,6 @@ def test_partial_leibniz_random():
         f, g = _random_poly(rng, n), _random_poly(rng, n)
         i = rng.randint(1, n)
         assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
-
-
-def test_specialize_is_ring_hom_random():
-    rng = random.Random(404)
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        f, g = _random_poly(rng, n), _random_poly(rng, n)
-        pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        assert (f + g).specialize(pt) == f.specialize(pt) + g.specialize(pt)
-        assert (f * g).specialize(pt) == f.specialize(pt) * g.specialize(pt)
 
 
 def test_diffop_apply_basics():

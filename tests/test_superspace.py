@@ -18,7 +18,6 @@ from coinvarr.superspace import (
     fubini,
     invariant_generators,
     invariant_ideal_rows,
-    sn_act,
     sr_basis_certificate,
     super_monomials,
 )
@@ -31,6 +30,28 @@ def _x(n, i):
 
 def _t(n, i):
     return SuperElement.theta(n, i)
+
+
+def sn_act(w, omega):
+    """Relabel both variable families along a permutation of 1..n.
+
+    x_i goes to x_w(i) inside each p_J, and t_J to the product of the
+    t_w(j) over j in J, taken in the order of J.  The oracle for the
+    S_n-invariance of the ideal generators and pieces.
+    """
+    w = tuple(w)
+    n = omega.n
+    if sorted(w) != list(range(1, n + 1)):
+        raise ValueError("not a permutation of 1..n")
+    source = [w.index(k) for k in range(1, n + 1)]
+    out = SuperElement.zero(n)
+    for thetas, p in omega.parts.items():
+        moved = {tuple(e[s] for s in source): c for e, c in p.terms.items()}
+        image = SuperElement.from_polynomial(Polynomial(n, moved))
+        for j in thetas:
+            image = image * _t(n, w[j - 1])
+        out = out + image
+    return out
 
 
 def _random_element(rng, n, max_deg=3, terms=4, coeff=lambda rng: rng.randint(-3, 3)):
