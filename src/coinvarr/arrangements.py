@@ -337,14 +337,6 @@ def _block_connected(block, adj):
     return seen == block
 
 
-def _refines(P, Q):
-    owner = {}
-    for idx, b in enumerate(Q):
-        for v in b:
-            owner[v] = idx
-    return all(len({owner[v] for v in b}) == 1 for b in P)
-
-
 def characteristic_polynomial(A):
     """Coefficient tuple (c_0, ..., c_n) of the characteristic polynomial.
 
@@ -356,9 +348,11 @@ def characteristic_polynomial(A):
     flats.sort(key=len, reverse=True)  # rank-ascending: many blocks first
     mu = {}
     for idx, X in enumerate(flats):
+        owner = {v: k for k, b in enumerate(X) for v in b}
         total = 0
         for Y in flats[:idx]:
-            if len(Y) > len(X) and _refines(Y, X):
+            # Y lies below X when each block of Y sits inside one block of X
+            if len(Y) > len(X) and all(len({owner[v] for v in b}) == 1 for b in Y):
                 total += mu[Y]
         mu[X] = 1 if idx == 0 else -total
     coeffs = [0] * (A.n + 1)

@@ -42,7 +42,6 @@ from .arrangements import (
 )
 from .derivations import (
     Derivation,
-    ones_map,
     saito_check,
     skip_basis,
     skip_generators,
@@ -321,7 +320,7 @@ def _plan_southwest_quotient(cfg, top):
 
 
 def _run_southwest_quotient(n, A, cfg):
-    inst = classify(A, ones_map(n))
+    inst = classify(A)
     return [
         ("box-basis", True, verify_box_basis(inst)),
         ("hilbert-additivity", True, exact_sequence_check(inst)),
@@ -336,15 +335,15 @@ def _plan_trichotomy(cfg, top):
 
 def _run_trichotomy(n, fixture, cfg):
     if fixture == "empty":
-        inst = classify(Arrangement(2, []), ones_map(2))
+        inst = classify(Arrangement(2, []))
         return [("trichotomy", "zero", inst.tag)]
     if fixture == "line":
         one = Polynomial.one(2)
         x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
         basis = [Derivation([one, -one]), Derivation.euler(2)]
-        inst = classify([x1 + x2], ones_map(2), basis=basis)
+        inst = classify([x1 + x2], basis=basis)
         return [("trichotomy", "infinite", inst.tag)]
-    inst = classify(full_arrangement(n), ones_map(n))
+    inst = classify(full_arrangement(n))
     return [
         ("trichotomy", "poincare-duality", inst.tag),
         ("st-dimension", math.factorial(n), inst.dimension),
@@ -539,8 +538,10 @@ def run_suite(name, cfg):
                     f"suite {name} planned {len(tasks)} instances, expected {want}"
                 )
         tasks = [(name, n, key, instance, cfg) for n, key, instance in tasks]
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # a pool may fork all its workers at the first submit
+        workers = min(cfg.workers, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_execute, tasks, chunksize=8))
         else:
             chunks = [_execute(t) for t in tasks]

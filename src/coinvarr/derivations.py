@@ -4,7 +4,9 @@ A derivation is a polynomial vector field sum(c_k * d/dx_k).  The module
 of an arrangement consists of the fields tangent to every hyperplane:
 alpha | theta(alpha) for each defining form alpha.  Freeness is always
 certified through Saito's criterion against an explicit basis; the module
-itself is never materialized.
+itself is never materialized.  The Solomon-Terao ideal of an arrangement
+is generated by the images theta(x1 + ... + xn) of a certified basis; each
+image is the sum of the coefficients of theta.
 
 Targets are either an Arrangement or an explicit list of linear forms.
 The latter keeps fixtures like {x1+x2 = 0} available even though the
@@ -232,10 +234,16 @@ def skip_basis(skips, n):
     return out
 
 
+def _eta(n):
+    """x1 + ... + xn, whose partials are all 1."""
+    units = (tuple(int(i == k) for i in range(n)) for k in range(n))
+    return Polynomial(n, dict.fromkeys(units, 1))
+
+
 def skip_generators(skips, n):
-    """Polynomials obtained from skip_basis by sending every partial to 1."""
-    to_one = ones_map(n)
-    return [to_one(theta) for theta in skip_basis(skips, n)]
+    """The images theta(x1 + ... + xn) of the skip_basis derivations."""
+    eta = _eta(n)
+    return [theta.apply(eta) for theta in skip_basis(skips, n)]
 
 
 def restrict_derivation(theta, p):
@@ -261,69 +269,14 @@ def restrict_derivation(theta, p):
     return Derivation(coeffs)
 
 
-class CoeffMap:
-    """Module map from vector fields to polynomials: d/dx_k -> images[k].
-
-    Images must be homogeneous of one common degree so that applying the
-    map to a homogeneous derivation shifts degree uniformly.
-    """
-
-    __slots__ = ("n", "images", "degree")
-
-    def __init__(self, images):
-        images = tuple(images)
-        if not images:
-            raise ValueError("a coefficient map needs at least one image")
-        n = images[0].n
-        degs = set()
-        for g in images:
-            if g.n != n:
-                raise AmbientMismatch("mixed ambient dimensions in images")
-            if not g.is_homogeneous():
-                raise ValueError("images must be homogeneous")
-            if g:
-                degs.add(g.degree())
-        if len(degs) != 1:
-            raise ValueError("images must share one degree and not all vanish")
-        if len(images) != n:
-            raise ValueError(f"expected {n} images, got {len(images)}")
-        self.n = n
-        self.images = images
-        self.degree = degs.pop()
-
-    def __call__(self, theta):
-        if theta.n != self.n:
-            raise AmbientMismatch("map and derivation disagree on n")
-        out = Polynomial.zero(self.n)
-        for g, c in zip(self.images, theta.coeffs):
-            if g and c:
-                out = out + g * c
-        return out
-
-    def __repr__(self):
-        imgs = ", ".join(g.text() for g in self.images)
-        return f"CoeffMap([{imgs}])"
-
-
-def ones_map(n):
-    """Every partial goes to 1."""
-    return CoeffMap([Polynomial.one(n)] * n)
-
-
-def coords_map(n):
-    """Every partial goes to its own variable."""
-    return CoeffMap([Polynomial.variable(n, k) for k in range(1, n + 1)])
-
-
-def st_ideal(target, cmap, basis):
-    """Ideal generated by the map's images of a certified free basis.
+def st_ideal(target, basis):
+    """Ideal generated by theta(x1 + ... + xn) over a certified free basis.
 
     The basis must pass saito_check for the target; the resulting ideal
     does not depend on which certified basis was supplied.
     """
     _, n = _forms(target)
-    if cmap.n != n:
-        raise AmbientMismatch("map and target disagree on n")
     if not saito_check(basis, target):
         raise ValueError("supplied basis fails Saito certification")
-    return Ideal(n, [cmap(theta) for theta in basis])
+    eta = _eta(n)
+    return Ideal(n, [theta.apply(eta) for theta in basis])

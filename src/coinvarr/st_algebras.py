@@ -1,13 +1,13 @@
 """Solomon-Terao algebras of certified free arrangements.
 
-The algebra of an arrangement under a coefficient map is the quotient of the
-polynomial ring by the ideal of mapped derivations.  With a certified free
-basis in hand the quotient is classified exactly into one of three mutually
-exclusive shapes: the zero ring, an infinite-dimensional ring, or an Artinian
-ring with palindromic Hilbert series given by the basis degrees.  The checks
-in this module lean on that classification: short exact sequences become
-Hilbert-series additivity plus one ideal identity, and monomial bases become
-rank computations against Groebner normal forms.
+The algebra of an arrangement is the quotient of the polynomial ring by the
+ideal of the images theta(x1 + ... + xn) of its derivations.  With a
+certified free basis in hand the quotient is classified exactly into one of
+three mutually exclusive shapes: the zero ring, an infinite-dimensional
+ring, or an Artinian ring with palindromic Hilbert series given by the basis
+degrees.  The checks in this module lean on that classification: short
+exact sequences become Hilbert-series additivity plus one ideal identity,
+and monomial bases become rank computations against Groebner normal forms.
 """
 
 import math
@@ -27,7 +27,7 @@ from .arrangements import (
     staircase,
     staircase_monomials,
 )
-from .derivations import ones_map, skip_basis, southwest_basis, st_ideal
+from .derivations import skip_basis, southwest_basis, st_ideal
 from .groebner import Ideal, colon, ideal_equal
 from .polynomials import Polynomial, box_monomials, rank_of_elements
 from .symmetric import coinvariant_generators, steinberg_member
@@ -49,19 +49,17 @@ __all__ = [
 
 
 class STInstance:
-    """One classified quotient: target, map, basis, ideal, and shape tag.
+    """One classified quotient: target, ideal, and shape tag.
 
     tag is "zero" (unit ideal), "infinite" (non-Artinian quotient), or
     "poincare-duality" (Artinian; hilbert then holds the graded dimensions
     and dimension their sum).  Exactly one tag applies.
     """
 
-    __slots__ = ("target", "cmap", "basis", "ideal", "tag", "hilbert", "dimension")
+    __slots__ = ("target", "ideal", "tag", "hilbert", "dimension")
 
-    def __init__(self, target, cmap, basis, ideal, tag, hilbert, dimension):
+    def __init__(self, target, ideal, tag, hilbert, dimension):
         self.target = target
-        self.cmap = cmap
-        self.basis = basis
         self.ideal = ideal
         self.tag = tag
         self.hilbert = hilbert
@@ -109,32 +107,29 @@ def q_integer_product(sizes):
     return tuple(out)
 
 
-def classify(target, cmap, basis=None):
-    """Classify the quotient by the mapped-basis ideal into its three shapes.
+def classify(target, basis=None):
+    """Classify the quotient by the Solomon-Terao ideal into its three shapes.
 
     The basis defaults to certified_basis(target) and is re-certified by
     st_ideal either way.  In the Artinian case the computed Hilbert series
-    must match the product formula over the shifted basis degrees and be
+    must match the product formula over the basis degrees and be
     palindromic; a mismatch means the certification is broken, so it raises
     rather than returning a report.
     """
     if basis is None:
         basis = certified_basis(target)
     basis = tuple(basis)
-    ideal = st_ideal(target, cmap, basis)
+    ideal = st_ideal(target, basis)
     if ideal.is_unit():
-        return STInstance(target, cmap, basis, ideal, "zero", (), 0)
+        return STInstance(target, ideal, "zero", (), 0)
     if not ideal.is_artinian():
-        return STInstance(target, cmap, basis, ideal, "infinite", None, None)
+        return STInstance(target, ideal, "infinite", None, None)
     hilbert = ideal.hilbert_series()
-    shifted = [theta.degree() + cmap.degree for theta in basis]
-    if hilbert != q_integer_product(shifted):
+    if hilbert != q_integer_product(theta.degree() for theta in basis):
         raise ArithmeticError("Hilbert series disagrees with the basis degrees")
     if tuple(hilbert) != tuple(reversed(hilbert)):
         raise ArithmeticError("Artinian quotient has a non-palindromic series")
-    return STInstance(
-        target, cmap, basis, ideal, "poincare-duality", tuple(hilbert), sum(hilbert)
-    )
+    return STInstance(target, ideal, "poincare-duality", tuple(hilbert), sum(hilbert))
 
 
 # -- short exact sequence ----------------------------------------------------
@@ -144,38 +139,37 @@ def _coeff(h, k):
     return h[k] if 0 <= k < len(h) else 0
 
 
-def _ones_map_arrangement(inst):
-    """The arrangement of an instance classified under ones_map, else raise."""
-    A = inst.target
-    if not isinstance(A, Arrangement) or inst.cmap.images != ones_map(A.n).images:
-        raise ValueError("the statement is about an arrangement under ones_map")
-    return A
+def _arrangement(inst):
+    """The target of an instance when it is an Arrangement, else raise."""
+    if not isinstance(inst.target, Arrangement):
+        raise ValueError("the statement is about an arrangement")
+    return inst.target
 
 
 def exact_sequence_check(inst):
     """Certify the deletion/restriction sequence of a classified instance.
 
-    inst is classify(A, ones_map(A.n)) for an essential southwest A; its
-    Hilbert series and ideal are read as they are, and only the deletion of
-    the largest coordinate form x_p and the restriction to x_p = 0 are
-    classified here.  The deletion stays in the certified family only at
-    that p.  True iff the graded dimensions satisfy big = q*deleted +
-    restricted coefficientwise (the zero algebra contributing nothing) and
-    the restricted ideal equals the big ideal plus (x_p), read in the
-    surviving variables.
+    inst is classify(A) for an essential southwest A; its Hilbert series
+    and ideal are read as they are, and only the deletion of the largest
+    coordinate form x_p and the restriction to x_p = 0 are classified here.
+    The deletion stays in the certified family only at that p.  True iff
+    the graded dimensions satisfy big = q*deleted + restricted
+    coefficientwise (the zero algebra contributing nothing) and the
+    restricted ideal equals the big ideal plus (x_p), read in the surviving
+    variables.
     """
-    A = _ones_map_arrangement(inst)
+    A = _arrangement(inst)
     if not is_southwest(A) or not is_essential(A):
         raise ValueError("an essential southwest arrangement is required")
     p = max_coordinate(A)
     if p is None:
         raise ValueError("no coordinate form to delete")
-    small = classify(delete(A, (0, p)), inst.cmap)
+    small = classify(delete(A, (0, p)))
     if A.n == 1:
         # The restriction lands in a zero-dimensional ambient space, where
         # the algebra is a single copy of the ground field.
         return small.tag == "zero" and inst.hilbert == (1,)
-    rest = classify(restrict_coordinate(A, p), ones_map(A.n - 1))
+    rest = classify(restrict_coordinate(A, p))
     if inst.hilbert is None or small.hilbert is None or rest.hilbert is None:
         return False
     width = max(len(inst.hilbert), len(small.hilbert) + 1, len(rest.hilbert))
@@ -197,12 +191,12 @@ def exact_sequence_check(inst):
 def verify_box_basis(inst):
     """Check the box monomials under the column counts form a quotient basis.
 
-    inst is classify(A, ones_map(A.n)) for an essential arrangement A.  Its
-    quotient must be Artinian of dimension prod(h_i), and the normal forms
-    of the box monomials must be linearly independent; with matching count
-    that makes them a basis.
+    inst is classify(A) for an essential arrangement A.  Its quotient must be
+    Artinian of dimension prod(h_i), and the normal forms of the box
+    monomials must be linearly independent; with matching count that makes
+    them a basis.
     """
-    A = _ones_map_arrangement(inst)
+    A = _arrangement(inst)
     if not is_essential(A):
         raise ValueError("box bases are stated for essential arrangements")
     if inst.tag != "poincare-duality":
@@ -269,7 +263,7 @@ def cospan_check(pairs, n):
 # -- colon descent between nested arrangements -------------------------------
 
 
-def colon_descent_check(A, B, cmap):
+def colon_descent_check(A, B):
     """Compare the small ideal with the big ideal coloned by the form ratio.
 
     Returns "holds" or "fails" when the two hypotheses are met: the big
@@ -279,7 +273,7 @@ def colon_descent_check(A, B, cmap):
     """
     if not set(B.pairs) <= set(A.pairs):
         raise ValueError("the second arrangement must sit inside the first")
-    big = st_ideal(A, cmap, certified_basis(A))
+    big = st_ideal(A, certified_basis(A))
     ratio = Polynomial.one(A.n)
     for p in sorted(A.pairs - B.pairs):
         ratio = ratio * linear_form(p, A.n)
@@ -287,5 +281,5 @@ def colon_descent_check(A, B, cmap):
         return "skipped"
     if big.contains(ratio):
         return "skipped"
-    small = st_ideal(B, cmap, certified_basis(B))
+    small = st_ideal(B, certified_basis(B))
     return "holds" if ideal_equal(small, colon(big, ratio)) else "fails"

@@ -219,14 +219,15 @@ def dim_bidegree(n, i, j):
     return comb(n, j) * comb(i + n - 1, n - 1)
 
 
-def invariant_ideal_rows(n, i, j):
-    """Spanning set of the bidegree-(i, j) piece of the invariant ideal.
+def invariant_ideal_rows(n, i, j, gens):
+    """Spanning set of the bidegree-(i, j) piece of the ideal generated by
+    gens, which are invariant_generators(n).
 
     Every ideal element of this bidegree is a combination of generator
     times monomial products, so those products span the piece.
     """
     rows = []
-    for g in invariant_generators(n):
+    for g in gens:
         gi, gj = g.bidegree()
         for m in super_monomials(n, i - gi, j - gj):
             rows.append(g * SuperElement.monomial(m))
@@ -278,12 +279,13 @@ def sr_basis_certificate(n):
     buckets = {}
     for m in mons:
         buckets.setdefault(m.bidegree(), []).append(m)
+    gens = invariant_generators(n)
     table = {}
     ok = True
     for i in range(n * (n - 1) // 2 + 1):
         for j in range(n + 1):
             dim = dim_bidegree(n, i, j)
-            rows = invariant_ideal_rows(n, i, j)
+            rows = invariant_ideal_rows(n, i, j, gens)
             table[(i, j)] = dim - rank_of_elements(rows)
             candidates = buckets.get((i, j), [])
             if len(candidates) != table[(i, j)]:

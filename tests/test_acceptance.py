@@ -27,7 +27,6 @@ from coinvarr.arrangements import (
 )
 from coinvarr.derivations import (
     Derivation,
-    ones_map,
     saito_check,
     skip_basis,
     skip_generators,
@@ -185,10 +184,10 @@ def test_criterion_08_southwest_quotients():
     ok = True
     for n in range(1, 5):
         for A in enumerate_southwest(n, essential_only=True):
-            inst = classify(A, ones_map(A.n))
+            inst = classify(A)
             ok = ok and exact_sequence_check(inst)
             ok = ok and verify_box_basis(inst)
-    inst = classify(EXAMPLE5, ones_map(EXAMPLE5.n))
+    inst = classify(EXAMPLE5)
     ok = ok and column_counts(EXAMPLE5) == (1, 2, 2, 3, 1)
     ok = ok and inst.dimension == 12
     ok = ok and inst.hilbert == _conv([2, 2, 3]) == (1, 3, 4, 3, 1)
@@ -199,15 +198,13 @@ def test_criterion_08_southwest_quotients():
 
 def test_criterion_09_trichotomy_fixtures():
     start = time.perf_counter()
-    ok = classify(Arrangement(2, []), ones_map(2)).tag == "zero"
+    ok = classify(Arrangement(2, [])).tag == "zero"
     one = Polynomial.one(2)
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-    line = classify(
-        [x1 + x2], ones_map(2), basis=[Derivation([one, -one]), Derivation.euler(2)]
-    )
+    line = classify([x1 + x2], basis=[Derivation([one, -one]), Derivation.euler(2)])
     ok = ok and line.tag == "infinite"
     for n in range(1, 5):
-        inst = classify(full_arrangement(n), ones_map(n))
+        inst = classify(full_arrangement(n))
         ok = ok and inst.tag == "poincare-duality"
         ok = ok and inst.hilbert == _conv(range(1, n + 1))
         ok = ok and inst.dimension == math.factorial(n)

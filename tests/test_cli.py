@@ -151,6 +151,34 @@ def test_workers_do_not_change_reports(name, n):
     assert serial == pooled
 
 
+def test_pool_is_no_larger_than_the_task_list(monkeypatch):
+    # a process pool may fork all its workers at the first submit, so the
+    # runner asks for no more workers than tasks, and one task runs serially
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    serial = run_suite("trichotomy", RunConfig(n=2))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # trichotomy plans 4 tasks at n = 2: empty, line, full at n = 1 and 2
+    assert run_suite("trichotomy", RunConfig(n=2, workers=64)) == serial
+    assert sizes == [4]
+    # colon-generators plans a single task at n = 1
+    assert run_suite("colon-generators", RunConfig(n=1, workers=64))
+    assert sizes == [4]
+
+
 def test_n_caps_symmetric_toolkit():
     # --n is the largest n to sweep, for the random polynomials too
     reports = run_suite("symmetric-toolkit", RunConfig(n=1))
@@ -179,9 +207,9 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
     # A itself once, then its deletion and its restriction
     calls = []
 
-    def counted(target, cmap, basis=None):
+    def counted(target, basis=None):
         calls.append(target)
-        return classify(target, cmap, basis)
+        return classify(target, basis)
 
     monkeypatch.setattr(cli, "classify", counted)
     monkeypatch.setattr(st_algebras, "classify", counted)
@@ -200,9 +228,9 @@ def test_super_basis_task_ranks_each_piece_once(monkeypatch):
         calls.append(len(elements))
         return rank_of_elements(elements)
 
-    def counted_rows(n, i, j):
+    def counted_rows(n, i, j, gens):
         built.append((i, j))
-        return invariant_ideal_rows(n, i, j)
+        return invariant_ideal_rows(n, i, j, gens)
 
     monkeypatch.setattr(superspace, "rank_of_elements", counted)
     monkeypatch.setattr(superspace, "invariant_ideal_rows", counted_rows)

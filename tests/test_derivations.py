@@ -23,11 +23,8 @@ from coinvarr.arrangements import (
     staircase,
 )
 from coinvarr.derivations import (
-    CoeffMap,
     Derivation,
-    coords_map,
     is_derivation_of,
-    ones_map,
     restrict_derivation,
     saito_check,
     skip_basis,
@@ -339,41 +336,40 @@ def test_multiplication_by_form_embeds_smaller_module():
 
 
 def test_coeff_map_basics():
+    # theta(eta) sends d/dx_k to the partial of eta: 1 for x1 + x2, and
+    # 2*x_k for x1^2 + x2^2
     n = 2
     x1, x2 = variables(n)
-    i_map = ones_map(n)
-    a_map = coords_map(n)
-    assert i_map.degree == 0
-    assert a_map.degree == 1
-    assert i_map(Derivation.euler(n)) == x1 + x2
-    assert a_map(Derivation.euler(n)) == x1 * x1 + x2 * x2
+    eta = x1 + x2
+    q = x1 * x1 + x2 * x2
+    assert Derivation.euler(n).apply(eta) == x1 + x2
+    assert Derivation.euler(n).apply(q) == 2 * (x1 * x1 + x2 * x2)
     rot = Derivation([x2, -x1])
-    assert i_map(rot) == x2 - x1
-    with pytest.raises(ValueError):
-        CoeffMap([x1, Polynomial.one(n)])  # mixed degrees
-    with pytest.raises(ValueError):
-        CoeffMap([Polynomial.zero(n), Polynomial.zero(n)])
-    with pytest.raises(ValueError):
-        CoeffMap([x1])
+    assert rot.apply(eta) == x2 - x1
 
 
 def test_st_ideal_full_arrangement_is_coinvariant_ideal():
     for n in (1, 2, 3):
         A = full_arrangement(n)
-        ideal = st_ideal(A, ones_map(n), southwest_basis(A))
+        ideal = st_ideal(A, southwest_basis(A))
         assert ideal_equal(ideal, Ideal(n, coinvariant_generators(n)))
 
 
 def test_st_ideal_braid_with_coords_map():
+    # AMMN's classical instance eta = x1^2 + ... + xn^2 on the braid
+    # arrangement gives the coinvariant ideal
     for n in (2, 3):
-        ideal = st_ideal(braid_arrangement(n), coords_map(n), _power_fields(n))
+        basis = _power_fields(n)
+        assert saito_check(basis, braid_arrangement(n))
+        q = sum((x * x for x in variables(n)), Polynomial.zero(n))
+        ideal = Ideal(n, [theta.apply(q) for theta in basis])
         assert ideal_equal(ideal, Ideal(n, coinvariant_generators(n)))
 
 
 def test_st_ideal_line_fixture_infinite():
     x1, x2 = variables(2)
     diff = Derivation([Polynomial.one(2), -Polynomial.one(2)])
-    ideal = st_ideal([x1 + x2], ones_map(2), [diff, Derivation.euler(2)])
+    ideal = st_ideal([x1 + x2], [diff, Derivation.euler(2)])
     assert ideal_equal(ideal, Ideal(2, [x1 + x2]))
     assert not ideal.is_artinian()
     assert not ideal.is_unit()
@@ -383,7 +379,7 @@ def test_st_ideal_nonessential_is_unit():
     x1 = Polynomial.variable(2, 1)
     a = Arrangement(2, [(0, 1)])
     basis = [x1 * _partial(2, 1), _partial(2, 2)]
-    assert st_ideal(a, ones_map(2), basis).is_unit()
+    assert st_ideal(a, basis).is_unit()
 
 
 def test_st_ideal_rejects_uncertified_basis():
@@ -391,7 +387,6 @@ def test_st_ideal_rejects_uncertified_basis():
     with pytest.raises(ValueError):
         st_ideal(
             full_arrangement(n),
-            ones_map(n),
             [Derivation.euler(n), Derivation.euler(n)],
         )
 
@@ -432,7 +427,7 @@ def test_ones_ideal_contains_coinvariants_and_equals_colon():
         for skips in itertools.combinations(range(1, n + 1), r):
             cases.append((skip_arrangement(skips, n), skip_basis(skips, n)))
     for A, basis in cases:
-        ideal = st_ideal(A, ones_map(n), basis)
+        ideal = st_ideal(A, basis)
         for g in coinv.gens:
             assert ideal.contains(g)
         missing = Arrangement(n, full_arrangement(n).pairs - A.pairs)

@@ -11,7 +11,6 @@ SRC = Path(coinvarr.__file__).parent
 # public names no other package code uses, each with the reason it stays
 UNREFERENCED = {
     "braid_arrangement": "the type A Coxeter arrangement, a fixture of the tests",
-    "coords_map": "the coefficient map beside ones_map; classify takes either",
     "restrict_derivation": "restriction to x_p = 0, tested against is_derivation_of",
     "is_chordal": "southwest graphs are chordal, against an induced-cycle oracle",
     "is_derivation_of": "membership in D(A), the reference for restrict_derivation",

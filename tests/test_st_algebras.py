@@ -16,7 +16,7 @@ from coinvarr.arrangements import (
     skip_forms_product,
     staircase,
 )
-from coinvarr.derivations import Derivation, coords_map, ones_map
+from coinvarr.derivations import Derivation, saito_check
 from coinvarr.groebner import Ideal, colon
 from coinvarr.polynomials import Polynomial, variables
 from coinvarr.st_algebras import (
@@ -26,6 +26,7 @@ from coinvarr.st_algebras import (
     colon_descent_check,
     cospan_check,
     exact_sequence_check,
+    q_integer_product,
     verify_box_basis,
     verify_skip_quotient,
 )
@@ -46,7 +47,7 @@ def subsets(items):
 
 
 def test_classify_empty_is_zero():
-    inst = classify(Arrangement(2, []), ones_map(2))
+    inst = classify(Arrangement(2, []))
     assert inst.tag == "zero"
     assert inst.hilbert == ()
     assert inst.dimension == 0
@@ -59,7 +60,7 @@ def test_classify_single_line_is_infinite():
     one = Polynomial.one(2)
     basis = [Derivation([one, -one]), Derivation.euler(2)]
     x1, x2 = variables(2)
-    inst = classify([x1 + x2], ones_map(2), basis=basis)
+    inst = classify([x1 + x2], basis=basis)
     assert inst.tag == "infinite"
     assert inst.hilbert is None and inst.dimension is None
     assert inst.ideal.groebner() == [x1 + x2]
@@ -67,14 +68,14 @@ def test_classify_single_line_is_infinite():
 
 
 def test_classify_full_n2():
-    inst = classify(full_arrangement(2), ones_map(2))
+    inst = classify(full_arrangement(2))
     assert inst.tag == "poincare-duality"
     assert inst.hilbert == (1, 1)
     assert inst.dimension == 2
 
 
 def test_classify_running_example():
-    inst = classify(EXAMPLE5, ones_map(5))
+    inst = classify(EXAMPLE5)
     assert inst.tag == "poincare-duality"
     # (1+q)^2 (1+q+q^2) expanded, one factor per column count above one
     assert inst.hilbert == (1, 3, 4, 3, 1)
@@ -83,26 +84,36 @@ def test_classify_running_example():
 
 
 def test_classify_skip_family_and_zero_branch():
-    inst = classify(skip_arrangement({2}, 2), ones_map(2))
+    inst = classify(skip_arrangement({2}, 2))
     assert inst.tag == "poincare-duality"
     assert inst.hilbert == (1,)
     # skipping 1 drops the coordinate form x1 and the quotient dies
-    assert classify(skip_arrangement({1}, 2), ones_map(2)).tag == "zero"
+    assert classify(skip_arrangement({1}, 2)).tag == "zero"
+
+
+def _quadratic_ideal(A):
+    # AMMN's classical instance eta = x1^2 + ... + xn^2: theta(eta) is twice
+    # the coordinate map d/dx_k -> x_k applied to theta
+    basis = certified_basis(A)
+    assert saito_check(basis, A)
+    q = sum((x * x for x in variables(A.n)), Polynomial.zero(A.n))
+    return Ideal(A.n, [theta.apply(q) for theta in basis]), basis
 
 
 def test_classify_coords_map_braid():
     # with the coordinate map the braid line gives the rank-one coinvariants
-    inst = classify(braid_arrangement(2), coords_map(2))
-    assert inst.tag == "poincare-duality"
-    assert inst.hilbert == (1, 1)
+    ideal, _ = _quadratic_ideal(braid_arrangement(2))
+    assert ideal.is_artinian()
+    assert ideal.hilbert_series() == (1, 1)
 
 
 def test_classify_full_coords_map_factorial_dimension():
-    # column counts (1..n) shift to (2..n+1) under the degree-one map
+    # column counts (1..n) shift to (2..n+1) under the degree-two eta
     for n in range(1, 4):
-        inst = classify(full_arrangement(n), coords_map(n))
-        assert inst.tag == "poincare-duality"
-        assert inst.dimension == math.factorial(n + 1)
+        ideal, basis = _quadratic_ideal(full_arrangement(n))
+        shifted = [theta.degree() + 1 for theta in basis]
+        assert ideal.hilbert_series() == q_integer_product(shifted)
+        assert ideal.dimension() == math.factorial(n + 1)
 
 
 def test_certified_basis_families():
@@ -117,7 +128,7 @@ def test_certified_basis_families():
 def test_classify_tags_exclusive():
     tags = set()
     for A in enumerate_southwest(3):
-        inst = classify(A, ones_map(3))
+        inst = classify(A)
         tags.add(inst.tag)
         assert (inst.tag == "zero") == inst.ideal.is_unit()
         assert (inst.tag == "poincare-duality") == (
@@ -130,7 +141,7 @@ def test_classify_tags_exclusive():
 
 def test_classify_dimension_is_column_product():
     for A in enumerate_southwest(3, essential_only=True):
-        inst = classify(A, ones_map(3))
+        inst = classify(A)
         want = 1
         for h in column_counts(A):
             want *= h
@@ -140,53 +151,49 @@ def test_classify_dimension_is_column_product():
 # -- short exact sequence ----------------------------------------------------
 
 
-def ones_instance(A):
-    return classify(A, ones_map(A.n))
-
-
 def test_exact_sequence_full_n2():
     A = full_arrangement(2)
-    inst = ones_instance(A)
+    inst = classify(A)
     assert exact_sequence_check(inst)
     # the three series by hand: (1,1) = q*(1,) + (1,)
     assert inst.hilbert == (1, 1)
-    assert classify(delete(A, (0, 2)), ones_map(2)).hilbert == (1,)
+    assert classify(delete(A, (0, 2))).hilbert == (1,)
 
 
 def test_exact_sequence_singleton_column_isomorphism():
     # both coordinate lines only: deleting the last one kills essentiality,
     # so the projection onto the restriction is an isomorphism
     A = Arrangement(2, [(0, 1), (0, 2)])
-    assert exact_sequence_check(ones_instance(A))
-    assert classify(delete(A, (0, 2)), ones_map(2)).tag == "zero"
+    assert exact_sequence_check(classify(A))
+    assert classify(delete(A, (0, 2))).tag == "zero"
 
 
 def test_exact_sequence_running_example():
-    assert exact_sequence_check(ones_instance(EXAMPLE5))
+    assert exact_sequence_check(classify(EXAMPLE5))
 
 
 def test_exact_sequence_lowest_case():
-    assert exact_sequence_check(ones_instance(Arrangement(1, [(0, 1)])))
+    assert exact_sequence_check(classify(Arrangement(1, [(0, 1)])))
 
 
 def test_exact_sequence_validation():
     with pytest.raises(ValueError):
-        exact_sequence_check(ones_instance(braid_arrangement(3)))  # not essential
+        exact_sequence_check(classify(braid_arrangement(3)))  # not essential
     with pytest.raises(ValueError):
         # essential, but x3 is present without x2: not southwest
-        exact_sequence_check(ones_instance(skip_arrangement({2}, 3)))
+        exact_sequence_check(classify(skip_arrangement({2}, 3)))
 
 
 def test_exact_sequence_sweep_n3():
     for A in enumerate_southwest(3, essential_only=True):
-        assert exact_sequence_check(ones_instance(A))
+        assert exact_sequence_check(classify(A))
 
 
 # -- box monomial bases ------------------------------------------------------
 
 
 def test_box_basis_full_n2():
-    inst = ones_instance(full_arrangement(2))
+    inst = classify(full_arrangement(2))
     assert verify_box_basis(inst)
     # under h = (1, 2) the box is {1, x2}
     nf = inst.ideal.normal_form
@@ -195,31 +202,35 @@ def test_box_basis_full_n2():
 
 
 def test_box_basis_running_example():
-    assert verify_box_basis(ones_instance(EXAMPLE5))
+    assert verify_box_basis(classify(EXAMPLE5))
 
 
 def test_box_basis_skips_unit_columns():
     # columns with a single form contribute no variable to any box monomial
     h = column_counts(EXAMPLE5)
     assert h == (1, 2, 2, 3, 1)
-    inst = classify(EXAMPLE5, ones_map(5))
+    inst = classify(EXAMPLE5)
     assert len(inst.ideal.standard_monomials()) == 12
 
 
 def test_box_basis_requires_essential():
     with pytest.raises(ValueError):
-        verify_box_basis(ones_instance(braid_arrangement(2)))
+        verify_box_basis(classify(braid_arrangement(2)))
 
 
 def test_box_basis_sweep_n3():
     for A in enumerate_southwest(3, essential_only=True):
-        assert verify_box_basis(ones_instance(A))
+        assert verify_box_basis(classify(A))
 
 
-def test_southwest_checks_require_ones_map():
-    # box bases and additivity are statements about the ones_map quotient
-    inst = classify(full_arrangement(2), coords_map(2))
-    assert inst.tag == "poincare-duality"
+def test_southwest_checks_require_an_arrangement():
+    # box bases and additivity are statements about arrangements, not about
+    # an explicit list of forms such as the line x1 + x2 = 0
+    one = Polynomial.one(2)
+    x1, x2 = variables(2)
+    basis = [Derivation([one, -one]), Derivation.euler(2)]
+    inst = classify([x1 + x2], basis=basis)
+    assert inst.tag == "infinite"
     with pytest.raises(ValueError):
         verify_box_basis(inst)
     with pytest.raises(ValueError):
@@ -293,39 +304,33 @@ def test_cospan_exhaustive_n3():
 
 def test_colon_descent_holds():
     assert colon_descent_check(
-        full_arrangement(2), skip_arrangement({2}, 2), ones_map(2)
-    ) == "holds"
+        full_arrangement(2), skip_arrangement({2}, 2)) == "holds"
     assert colon_descent_check(
-        full_arrangement(3), skip_arrangement({3}, 3), ones_map(3)
-    ) == "holds"
+        full_arrangement(3), skip_arrangement({3}, 3)) == "holds"
 
 
 def test_colon_descent_skipped_when_ratio_inside():
     # the whole defining product sits in the ideal once degrees run out
     verdict = colon_descent_check(
-        full_arrangement(2), Arrangement(2, []), ones_map(2)
-    )
+        full_arrangement(2), Arrangement(2, []))
     assert verdict == "skipped"
     # unit big ideal: everything is inside, nothing to test
     verdict = colon_descent_check(
-        braid_arrangement(2), Arrangement(2, []), ones_map(2)
-    )
+        braid_arrangement(2), Arrangement(2, []))
     assert verdict == "skipped"
 
 
 def test_colon_descent_validation():
     with pytest.raises(ValueError):
         colon_descent_check(
-            skip_arrangement({2}, 2), full_arrangement(2), ones_map(2)
-        )
+            skip_arrangement({2}, 2), full_arrangement(2))
 
 
 def test_colon_descent_skip_family_sweep():
     # every skip arrangement inside the full one, where defined
     for J in subsets(range(1, 4)):
         verdict = colon_descent_check(
-            full_arrangement(3), skip_arrangement(J, 3), ones_map(3)
-        )
+            full_arrangement(3), skip_arrangement(J, 3))
         assert verdict == ("skipped" if 1 in J else "holds")
 
 
@@ -347,6 +352,6 @@ def test_augmented_skip_column_counts():
 
 
 def test_repr_smoke():
-    inst = classify(full_arrangement(2), ones_map(2))
+    inst = classify(full_arrangement(2))
     assert "poincare-duality" in repr(inst)
     assert isinstance(inst, STInstance)

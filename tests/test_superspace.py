@@ -111,7 +111,7 @@ def test_parts_are_polynomials_with_exact_coefficients():
     with pytest.raises(AmbientMismatch):
         SuperElement(2, {(): Polynomial.one(3)})
     assert SuperElement(2, {(1,): Polynomial.zero(2)}) == SuperElement.zero(2)
-    rows = invariant_ideal_rows(3, 2, 1)
+    rows = invariant_ideal_rows(3, 2, 1, invariant_generators(3))
     assert rows
     for row in rows:
         assert all(type(c) is int for c in row.terms.values())
@@ -301,20 +301,20 @@ def test_ideal_pieces_cross_checked_against_dense_rank():
     for n in (2, 3):
         for i in range(n * (n - 1) // 2 + 1):
             for j in range(n + 1):
-                rows = invariant_ideal_rows(n, i, j)
+                rows = invariant_ideal_rows(n, i, j, invariant_generators(n))
                 assert rank_of_elements(rows) == _dense_rank(rows), (n, i, j)
 
 
 def test_ideal_piece_fixtures():
     # n = 1: the ideal swallows everything in positive degree
-    rows = invariant_ideal_rows(1, 1, 0)
+    rows = invariant_ideal_rows(1, 1, 0, invariant_generators(1))
     assert rank_of_elements(rows) == dim_bidegree(1, 1, 0) == 1
     # n = 2, bidegree (0,1): the single row t1+t2, codimension 1
-    rows = invariant_ideal_rows(2, 0, 1)
+    rows = invariant_ideal_rows(2, 0, 1, invariant_generators(2))
     assert rank_of_elements(rows) == 1
     assert dim_bidegree(2, 0, 1) - 1 == 1
     # n = 3, bidegree (0,2): codimension 1
-    rows = invariant_ideal_rows(3, 0, 2)
+    rows = invariant_ideal_rows(3, 0, 2, invariant_generators(3))
     assert dim_bidegree(3, 0, 2) - rank_of_elements(rows) == 1
 
 
@@ -322,7 +322,7 @@ def test_ideal_pieces_are_symmetric_group_stable():
     for n in (2, 3):
         for i in range(3):
             for j in range(n + 1):
-                rows = invariant_ideal_rows(n, i, j)
+                rows = invariant_ideal_rows(n, i, j, invariant_generators(n))
                 base = rank_of_elements(rows)
                 for w in itertools.permutations(range(1, n + 1)):
                     acted = [sn_act(w, r) for r in rows]
@@ -407,7 +407,7 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
     good = artin_monomials(n)
     # at (2, 0) the right number of candidates can still be dependent
     # modulo the ideal piece; find such a set by brute force
-    rows = invariant_ideal_rows(n, 2, 0)
+    rows = invariant_ideal_rows(n, 2, 0, invariant_generators(n))
     dim = dim_bidegree(n, 2, 0)
     dependent = next(
         list(combo)
@@ -426,7 +426,7 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
 def test_stacked_rank_check_has_teeth():
     # a candidate living inside the ideal fails the stacking test
     n = 2
-    rows = invariant_ideal_rows(n, 0, 1)
+    rows = invariant_ideal_rows(n, 0, 1, invariant_generators(n))
     base = rank_of_elements(rows)
     inside = _t(n, 1) + _t(n, 2)
     assert rank_of_elements(rows + [inside]) == base
