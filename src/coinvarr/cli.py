@@ -49,7 +49,6 @@ from .derivations import (
 )
 from .groebner import (
     Ideal,
-    clear_basis_cache,
     colon,
     ideal_equal,
     is_regular_sequence,
@@ -58,6 +57,7 @@ from .groebner import (
 from .polynomials import Polynomial
 from .st_algebras import (
     classify,
+    clear_caches,
     cospan_check,
     exact_sequence_check,
     q_integer_product,
@@ -441,7 +441,7 @@ SUITES = {
     "saito-skip": Suite(
         "saito-skip",
         4,
-        5,
+        6,
         _plan_all_j,
         _run_saito_skip,
         _count_all_j,
@@ -524,7 +524,8 @@ def run_suite(name, cfg):
             f"its --exhaustive limit is n = {suite.cap}\n"
         )
         top = allowed
-    # the Groebner basis cache lives for one suite, not for the process
+    # the Groebner basis cache and the classify memo live for one suite, not
+    # for the process: clear_caches empties both however the suite ends
     try:
         tasks = suite.plan(cfg, top)
         if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
@@ -546,7 +547,7 @@ def run_suite(name, cfg):
         else:
             chunks = [_execute(t) for t in tasks]
     finally:
-        clear_basis_cache()
+        clear_caches()
     reports = [make_report(*row) for chunk in chunks for row in chunk]
     reports.sort(key=lambda r: (r["check"], r["n"], r["instance"]))
     return reports
@@ -615,7 +616,13 @@ def _build_parser():
     )
     verify.add_argument("--out", default=None, help="write the report here")
     verify.add_argument("--format", choices=["json", "csv"], default="json")
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="run each suite's tasks in up to this many processes; the report "
+        "bytes do not depend on it (default 1)",
+    )
     verify.add_argument(
         "--timings",
         action="store_true",

@@ -4,9 +4,15 @@ A derivation is a polynomial vector field sum(c_k * d/dx_k).  The module
 of an arrangement consists of the fields tangent to every hyperplane:
 alpha | theta(alpha) for each defining form alpha.  Freeness is always
 certified through Saito's criterion against an explicit basis; the module
-itself is never materialized.  The Solomon-Terao ideal of an arrangement
-is generated by the images theta(x1 + ... + xn) of a certified basis; each
-image is the sum of the coefficients of theta.
+itself is never materialized.  Membership is exact division of theta(alpha)
+by alpha.  Given membership, homogeneity and the degree sum, the determinant
+of an Arrangement's basis is a constant times the product of its distinct
+forms, which is nonzero at p = (1, 2, ..., n); so one evaluation at p
+decides it.  An explicit form list may repeat a form, so there the
+polynomial determinant is divided by the product instead.  The
+Solomon-Terao ideal of an arrangement is generated by the images
+theta(x1 + ... + xn) of a certified basis; each image is the sum of the
+coefficients of theta.
 
 Targets are either an Arrangement or an explicit list of linear forms.
 The latter keeps fixtures like {x1+x2 = 0} available even though the
@@ -60,12 +66,25 @@ class Derivation:
         return cls([Polynomial.variable(n, k) for k in range(1, n + 1)])
 
     def apply(self, f):
+        """theta(f) = sum over k of c_k * df/dx_k.
+
+        A partial that is a constant scales c_k as a scalar, and a zero
+        partial is skipped, so a linear f costs no polynomial product.
+        """
         if f.n != self.n:
             raise AmbientMismatch("derivation and polynomial disagree on n")
         out = Polynomial.zero(self.n)
         for k, c in enumerate(self.coeffs, start=1):
-            if c:
-                out = out + c * f.partial(k)
+            if not c:
+                continue
+            d = f.partial(k)
+            if not d:
+                continue
+            if d.degree() == 0:
+                (s,) = d.terms.values()
+                out = out + (c if s == 1 else c * s)
+            else:
+                out = out + c * d
         return out
 
     def degree(self):
@@ -151,10 +170,20 @@ def is_derivation_of(theta, target):
 def saito_check(thetas, target):
     """Saito's criterion: certify n derivations as a free module basis.
 
-    Checks membership for every form, degree sum equal to the number of
-    hyperplanes, and that the coefficient-matrix determinant is a nonzero
-    constant times the product of the forms.  The last condition subsumes
+    Checks that the derivations are homogeneous and nonzero, that their
+    degrees sum to the number of hyperplanes, membership alpha | theta(alpha)
+    for every form, and that the coefficient-matrix determinant is a nonzero
+    constant times the product Q of the forms.  The last condition subsumes
     independence over the polynomial ring.
+
+    For an Arrangement target the determinant is decided at the one point
+    p = (1, 2, ..., n).  Its forms are distinct primes, so membership gives
+    Q | det; homogeneity and the degree sum make det = c * Q for a constant
+    c; and Q(p) is a product of the nonzero integers j and i - j.  So
+    det(p) != 0 exactly when c != 0.  An explicit form list may repeat a
+    hyperplane, and then membership shows only that the product of the
+    distinct forms divides det; so a form list keeps the polynomial
+    determinant and its exact division by Q.
     """
     forms, n = _forms(target)
     if len(thetas) != n:
@@ -171,6 +200,13 @@ def saito_check(thetas, target):
     for theta in thetas:
         if not all(divides(alpha, theta.apply(alpha)) for alpha in forms):
             return False
+    if isinstance(target, Arrangement):
+        p = range(1, n + 1)
+        rows = [
+            [Polynomial.constant(0, c.evaluate(p)) for c in theta.coeffs]
+            for theta in thetas
+        ]
+        return bool(matrix_determinant(rows, 0))
     det = matrix_determinant([theta.coeffs for theta in thetas], n)
     q = Polynomial.one(n)
     for alpha in forms:

@@ -232,8 +232,8 @@ def s_polynomial(f, g):
 
 # -- ideals ------------------------------------------------------------------
 
-# grevlex reduced bases keyed by (n, nonzero generator set); cli.run_suite
-# empties it through clear_basis_cache when a suite ends
+# grevlex reduced bases keyed by (n, nonzero generator set); it lives for one
+# suite: cli.run_suite empties it through st_algebras.clear_caches
 _GB_CACHE = {}
 
 

@@ -319,6 +319,15 @@ class Polynomial:
 
     # -- substitution ------------------------------------------------------
 
+    def evaluate(self, point):
+        """The value at a point of Q^n, as an int or a Fraction."""
+        if len(point) != self.n:
+            raise AmbientMismatch(f"point has {len(point)} coordinates, not {self.n}")
+        return sum(
+            c * math.prod(x**e for x, e in zip(point, exps) if e)
+            for exps, c in self.terms.items()
+        )
+
     def set_var_zero(self, i):
         """Substitute x_i -> 0, staying in the same ambient ring."""
         if not 1 <= i <= self.n:

@@ -28,7 +28,7 @@ from .arrangements import (
     staircase_monomials,
 )
 from .derivations import skip_basis, southwest_basis, st_ideal
-from .groebner import Ideal, colon, ideal_equal
+from .groebner import Ideal, clear_basis_cache, colon, ideal_equal
 from .polynomials import Polynomial, box_monomials, rank_of_elements
 from .symmetric import coinvariant_generators, steinberg_member
 
@@ -36,6 +36,7 @@ __all__ = [
     "STInstance",
     "certified_basis",
     "classify",
+    "clear_caches",
     "exact_sequence_check",
     "verify_box_basis",
     "verify_skip_quotient",
@@ -107,6 +108,21 @@ def q_integer_product(sizes):
     return tuple(out)
 
 
+# classify(A) of an Arrangement with its certified basis, keyed by A.  A
+# southwest task classifies A, its deletion and its restriction, and other
+# tasks meet the same arrangements again.  Like the Groebner basis cache it
+# lives for one suite: cli.run_suite empties both through clear_caches.
+# Nothing writes to an STInstance after classify builds it, so one object
+# may serve every caller.
+_CLASSIFIED = {}
+
+
+def clear_caches():
+    """Forget every memoised classification and every cached reduced basis."""
+    _CLASSIFIED.clear()
+    clear_basis_cache()
+
+
 def classify(target, basis=None):
     """Classify the quotient by the Solomon-Terao ideal into its three shapes.
 
@@ -114,22 +130,35 @@ def classify(target, basis=None):
     st_ideal either way.  In the Artinian case the computed Hilbert series
     must match the product formula over the basis degrees and be
     palindromic; a mismatch means the certification is broken, so it raises
-    rather than returning a report.
+    rather than returning a report.  An Arrangement classified with its
+    default basis is memoised until clear_caches; an explicit basis or a
+    form list is classified afresh on every call.
     """
+    memo = basis is None and isinstance(target, Arrangement)
+    if memo:
+        got = _CLASSIFIED.get(target)
+        if got is not None:
+            return got
     if basis is None:
         basis = certified_basis(target)
     basis = tuple(basis)
     ideal = st_ideal(target, basis)
     if ideal.is_unit():
-        return STInstance(target, ideal, "zero", (), 0)
-    if not ideal.is_artinian():
-        return STInstance(target, ideal, "infinite", None, None)
-    hilbert = ideal.hilbert_series()
-    if hilbert != q_integer_product(theta.degree() for theta in basis):
-        raise ArithmeticError("Hilbert series disagrees with the basis degrees")
-    if tuple(hilbert) != tuple(reversed(hilbert)):
-        raise ArithmeticError("Artinian quotient has a non-palindromic series")
-    return STInstance(target, ideal, "poincare-duality", tuple(hilbert), sum(hilbert))
+        inst = STInstance(target, ideal, "zero", (), 0)
+    elif not ideal.is_artinian():
+        inst = STInstance(target, ideal, "infinite", None, None)
+    else:
+        hilbert = ideal.hilbert_series()
+        if hilbert != q_integer_product(theta.degree() for theta in basis):
+            raise ArithmeticError("Hilbert series disagrees with the basis degrees")
+        if tuple(hilbert) != tuple(reversed(hilbert)):
+            raise ArithmeticError("Artinian quotient has a non-palindromic series")
+        inst = STInstance(
+            target, ideal, "poincare-duality", tuple(hilbert), sum(hilbert)
+        )
+    if memo:
+        _CLASSIFIED[target] = inst
+    return inst
 
 
 # -- short exact sequence ----------------------------------------------------

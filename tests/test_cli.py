@@ -50,16 +50,20 @@ def test_run_suite_unknown_name():
 
 
 def _fill_groebner_cache():
+    # also fills the classify memo, which lives as long as the basis cache
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     Ideal(2, [x1 + x2, x1 * x2]).groebner()
-    assert groebner._GB_CACHE
+    classify(full_arrangement(2))
+    assert groebner._GB_CACHE and st_algebras._CLASSIFIED
 
 
 def test_run_suite_empties_the_groebner_cache(monkeypatch):
-    _fill_groebner_cache()
-    reports = run_suite("cospan", RunConfig(n=2))
-    assert reports and all(r["pass"] for r in reports)
-    assert not groebner._GB_CACHE
+    for name in ("cospan", "southwest-quotient"):
+        _fill_groebner_cache()
+        reports = run_suite(name, RunConfig(n=2))
+        assert reports and all(r["pass"] for r in reports)
+        assert not groebner._GB_CACHE
+        assert not st_algebras._CLASSIFIED
 
     def failing_plan(cfg, top):
         _fill_groebner_cache()
@@ -69,6 +73,7 @@ def test_run_suite_empties_the_groebner_cache(monkeypatch):
     with pytest.raises(RuntimeError):
         run_suite("staircase", RunConfig(n=2))
     assert not groebner._GB_CACHE
+    assert not st_algebras._CLASSIFIED
 
 
 def test_staircase_suite_counts_and_passes():

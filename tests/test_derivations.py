@@ -129,6 +129,21 @@ def test_apply_leibniz():
         assert theta.apply(f * g) == f * theta.apply(g) + g * theta.apply(f)
 
 
+def test_apply_matches_the_plain_sum_of_products():
+    # linear f has constant partials, which apply scales as scalars
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        theta = _random_derivation(rng, n, 2, 3)
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        linear = Polynomial(n, {e: rng.randint(-3, 3) for e in units})
+        for f in (linear, _random_poly(rng, n, 3, 3)):
+            plain = Polynomial.zero(n)
+            for k, c in enumerate(theta.coeffs, start=1):
+                plain = plain + c * f.partial(k)
+            assert theta.apply(f) == plain
+
+
 def test_degree_and_homogeneity():
     n = 3
     assert Derivation.euler(n).degree() == 1
@@ -212,6 +227,91 @@ def test_saito_small_positive_fixture():
     n = 2
     diag = Derivation([Polynomial.one(n), Polynomial.one(n)])
     assert saito_check([diag, Derivation.euler(n)], braid_arrangement(2))
+
+
+def test_saito_rejects_non_members_with_nonzero_determinant_at_p():
+    # degrees 1 + 2 = |A| and det = x1^3 - x2^3 is -7 at (1, 2), but
+    # theta(x1) = x2^2 is not a multiple of x1: membership alone rejects
+    n = 2
+    x1, x2 = variables(n)
+    theta = Derivation([x2 * x2, x1 * x1])
+    basis = [Derivation.euler(n), theta]
+    det = matrix_determinant([t.coeffs for t in basis], n)
+    assert det == x1**3 - x2**3
+    assert det.evaluate((1, 2)) == -7
+    assert not is_derivation_of(theta, full_arrangement(n))
+    assert not saito_check(basis, full_arrangement(n))
+
+
+def test_saito_repeated_form_keeps_the_division_route():
+    # x1 d1 and x2 d2 are members of {x1, x1} with degree sum 2, and their
+    # determinant x1*x2 is nonzero at (1, 2); it is still not a multiple
+    # of x1^2, so the form list is rejected
+    x1, x2 = variables(2)
+    basis = [
+        Derivation([x1, Polynomial.zero(2)]),
+        Derivation([Polynomial.zero(2), x2]),
+    ]
+    assert all(is_derivation_of(t, [x1, x1]) for t in basis)
+    assert not saito_check(basis, [x1, x1])
+    assert saito_check(basis, Arrangement(2, [(0, 1), (0, 2)]))
+
+
+def _dependent(basis):
+    """The basis with its highest-degree field replaced by a monomial
+    multiple of its lowest-degree one: still members of the same
+    arrangement with the same degree sum, but with determinant zero."""
+    degs = [t.degree() for t in basis]
+    j = degs.index(max(degs))
+    k = degs.index(min(degs))
+    if j == k:
+        k = (j + 1) % len(basis)
+    x1 = Polynomial.variable(basis[0].n, 1)
+    out = list(basis)
+    out[j] = x1 ** (degs[j] - degs[k]) * basis[k]
+    return out
+
+
+def _swapped(basis):
+    """Each field with its coefficients in reverse order; same degrees."""
+    return [Derivation(reversed(t.coeffs)) for t in basis]
+
+
+def test_saito_evaluation_route_agrees_with_form_list_route():
+    # an Arrangement is decided by one determinant at (1, ..., n); its form
+    # list by the polynomial determinant divided by Q, the reference
+    cases = [
+        (A, southwest_basis(A)) for n in range(1, 5) for A in enumerate_southwest(n)
+    ]
+    cases += [
+        (skip_arrangement(skips, n), skip_basis(skips, n))
+        for n in range(1, 5)
+        for r in range(n + 1)
+        for skips in itertools.combinations(range(1, n + 1), r)
+    ]
+    swapped = set()
+    for A, basis in cases:
+        if not A.pairs:
+            continue  # an empty form list names no ambient
+        forms = linear_forms(A)
+        assert saito_check(basis, A) and saito_check(basis, forms), A
+        if A.n > 1:
+            # members with the right degree sum: the determinant decides
+            dependent = _dependent(basis)
+            assert all(is_derivation_of(t, A) for t in dependent)
+            assert not saito_check(dependent, A), A
+            assert not saito_check(dependent, forms), A
+        verdict = saito_check(_swapped(basis), A)
+        assert verdict == saito_check(_swapped(basis), forms), A
+        swapped.add(verdict)
+    assert swapped == {True, False}
+
+
+def test_evaluation_point_is_off_the_full_arrangement():
+    for n in range(1, 7):
+        p = range(1, n + 1)
+        forms = linear_forms(full_arrangement(n))
+        assert all(alpha.evaluate(p) != 0 for alpha in forms)
 
 
 def test_southwest_basis_running_example():

@@ -231,6 +231,22 @@ def test_substitution_helpers():
         f.drop_var(1)
 
 
+def test_evaluate_is_a_ring_homomorphism():
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(0, 3)
+        p = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        f, g = _random_poly(rng, n), _random_poly(rng, n)
+        assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
+        assert (f * g).evaluate(p) == f.evaluate(p) * g.evaluate(p)
+    x1, x2 = variables(2)
+    f = 3 * x1 * x1 * x2 - x2 + 5
+    assert f.evaluate((2, -1)) == -6
+    assert Polynomial.zero(2).evaluate((1, 2)) == 0
+    with pytest.raises(AmbientMismatch):
+        f.evaluate((1, 2, 3))
+
+
 def test_exact_divide():
     x1, x2 = variables(2)
     f = (x1 - x2) * (x1 + 2 * x2)
