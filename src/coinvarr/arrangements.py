@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .polynomials import Polynomial, box_monomials, variables
+from .polynomials import Polynomial, box_monomials
 
 
 class Arrangement:
@@ -150,20 +150,19 @@ def linear_forms(A):
     return [linear_form(p, A.n) for p in A.sorted_pairs()]
 
 
-def skip_forms_product(skips, n):
-    """prod over skipped j of x_j * prod_{i>j} (x_j - x_i).
+def forms_product(pairs, n):
+    """Product of linear_form(p, n) over the sorted pairs; 1 for none."""
+    return math.prod(
+        (linear_form(p, n) for p in sorted(pairs)), start=Polynomial.one(n)
+    )
 
-    Equals the product of the ambient forms missing from
-    skip_arrangement(skips, n); the tests pin that equality.
-    """
-    skips = _skipset(skips, n)
-    xs = variables(n)
-    f = Polynomial.one(n)
-    for j in sorted(skips):
-        f = f * xs[j - 1]
-        for i in range(j + 1, n + 1):
-            f = f * (xs[j - 1] - xs[i - 1])
-    return f
+
+def skip_forms_product(skips, n):
+    """Product of the ambient forms missing from skip_arrangement(skips, n):
+    prod over skipped j of x_j * prod_{i>j} (x_j - x_i)."""
+    return forms_product(
+        full_arrangement(n).pairs - skip_arrangement(skips, n).pairs, n
+    )
 
 
 # -- southwest structure -----------------------------------------------------

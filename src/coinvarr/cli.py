@@ -157,12 +157,12 @@ def _tkey(pairs):
 class Suite:
     """One named family of checks with its planning and execution hooks.
 
-    plan(cfg, top) lists the tasks up to n = top as (n, key, instance)
+    plan(top) lists the tasks up to n = top as (n, key, instance)
     triples: key is the string the report prints, instance the object the
     check reads, and every (n, key) is distinct.  run(n, instance, cfg)
     returns (check, expected, actual) rows; the runner attaches n and key
-    and canonicalizes both values.  count(cfg, top), when set, is the number
-    of tasks plan must list.
+    and canonicalizes both values.  count(top), when set, is the number of
+    tasks plan must list; top is already clamped to the suite's limit.
     """
 
     __slots__ = ("name", "default_n", "cap", "plan", "run", "count", "doc")
@@ -177,23 +177,23 @@ class Suite:
         self.doc = doc
 
 
-def _plan_all_j(cfg, top):
+def _plan_all_j(top):
     return [
         (n, _jkey(J), J) for n in range(1, top + 1) for J in subsets(range(1, n + 1))
     ]
 
 
-def _count_all_j(cfg, top):
+def _count_all_j(top):
     return sum(2**n for n in range(1, top + 1))
 
 
-def _plan_staircase(cfg, top):
+def _plan_staircase(top):
     displays = [
         (5, "display:staircase"),
         (5, "display:skip-monomials"),
         (3, "display:decorated-monomials"),
     ]
-    return _plan_all_j(cfg, top) + [(n, key, key) for n, key in displays]
+    return _plan_all_j(top) + [(n, key, key) for n, key in displays]
 
 
 def _run_staircase(n, J, cfg):
@@ -215,11 +215,11 @@ def _run_staircase(n, J, cfg):
     ]
 
 
-def _count_staircase(cfg, top):
-    return _count_all_j(cfg, top) + 3
+def _count_staircase(top):
+    return _count_all_j(top) + 3
 
 
-def _plan_per_n(cfg, top):
+def _plan_per_n(top):
     return [(n, f"n={n}", n) for n in range(1, top + 1)]
 
 
@@ -235,13 +235,13 @@ def _run_skip_quotient(n, J, cfg):
     return [("skip-quotient", True, verify_skip_quotient(J, n))]
 
 
-def _plan_colon(cfg, top):
+def _plan_colon(top):
     return [
         (n, _jkey(J), J) for n in range(1, top + 1) for J in subsets(range(2, n + 1))
     ]
 
 
-def _count_colon(cfg, top):
+def _count_colon(top):
     return sum(2 ** (n - 1) for n in range(1, top + 1))
 
 
@@ -256,7 +256,7 @@ def _run_colon(n, J, cfg):
     ]
 
 
-def _plan_saito_southwest(cfg, top):
+def _plan_saito_southwest(top):
     return [
         (n, format_arrangement(A), A)
         for n in range(1, top + 1)
@@ -264,7 +264,7 @@ def _plan_saito_southwest(cfg, top):
     ]
 
 
-def _count_saito_southwest(cfg, top):
+def _count_saito_southwest(top):
     return sum(math.factorial(n + 1) for n in range(1, top + 1))
 
 
@@ -288,7 +288,7 @@ def _run_char_poly(n, J, cfg):
     ]
 
 
-def _plan_cospan(cfg, top):
+def _plan_cospan(top):
     return [
         (n, _tkey(T), T)
         for n in range(1, top + 1)
@@ -296,7 +296,7 @@ def _plan_cospan(cfg, top):
     ]
 
 
-def _count_cospan(cfg, top):
+def _count_cospan(top):
     return sum(2 ** (n * (n + 1) // 2) for n in range(1, top + 1))
 
 
@@ -305,14 +305,14 @@ def _run_cospan(n, T, cfg):
     return [("cospan", "agree", "agree" if ok else "split")]
 
 
-def _plan_southwest_quotient(cfg, top):
+def _plan_southwest_quotient(top):
     arrangements = [
         A
         for n in range(1, min(top, 4) + 1)
         for A in enumerate_southwest(n, essential_only=True)
     ]
     arrangements.append(EXAMPLE5)
-    if top >= 5 and cfg.exhaustive:
+    if top >= 5:
         arrangements.extend(
             A for A in enumerate_southwest(5, essential_only=True) if A != EXAMPLE5
         )
@@ -328,7 +328,7 @@ def _run_southwest_quotient(n, A, cfg):
     ]
 
 
-def _plan_trichotomy(cfg, top):
+def _plan_trichotomy(top):
     fixtures = [(2, "empty"), (2, "line")] + [(n, "full") for n in range(1, top + 1)]
     return [(n, f"fixture:{name}", name) for n, name in fixtures]
 
@@ -359,7 +359,7 @@ def _random_polynomial(rng, n):
     return Polynomial(n, terms)
 
 
-def _plan_symmetric(cfg, top):
+def _plan_symmetric(top):
     """Instances: a random-polynomial index (int), a Schur pair (A, shape),
     or a duality subset A (frozenset).  Random polynomial i lives at
     n = (i % 3) + 1 and is planned only when that n is at most top."""
@@ -408,13 +408,13 @@ SUITES = {
         5,
         _plan_per_n,
         _run_super_basis,
-        lambda cfg, top: top,
+        lambda top: top,
         "decorated monomial basis of the super coinvariant quotient per n",
     ),
     "skip-quotient": Suite(
         "skip-quotient",
         4,
-        5,
+        6,
         _plan_all_j,
         _run_skip_quotient,
         _count_all_j,
@@ -423,7 +423,7 @@ SUITES = {
     "colon-generators": Suite(
         "colon-generators",
         4,
-        5,
+        6,
         _plan_colon,
         _run_colon,
         _count_colon,
@@ -450,7 +450,7 @@ SUITES = {
     "char-poly": Suite(
         "char-poly",
         5,
-        5,
+        6,
         _plan_all_j,
         _run_char_poly,
         _count_all_j,
@@ -480,7 +480,7 @@ SUITES = {
         5,
         _plan_trichotomy,
         _run_trichotomy,
-        lambda cfg, top: top + 2,
+        lambda top: top + 2,
         "zero / infinite / duality classification fixtures",
     ),
     "symmetric-toolkit": Suite(
@@ -527,13 +527,13 @@ def run_suite(name, cfg):
     # the Groebner basis cache and the classify memo live for one suite, not
     # for the process: clear_caches empties both however the suite ends
     try:
-        tasks = suite.plan(cfg, top)
+        tasks = suite.plan(top)
         if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
             rng = random.Random(cfg.seed)
             # instances need not compare; (n, key) is unique per task
             tasks = sorted(rng.sample(tasks, SAMPLE_CAP), key=lambda t: t[:2])
         elif suite.count is not None:
-            want = suite.count(cfg, top)
+            want = suite.count(top)
             if len(tasks) != want:
                 raise RuntimeError(
                     f"suite {name} planned {len(tasks)} instances, expected {want}"

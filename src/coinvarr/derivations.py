@@ -12,7 +12,9 @@ decides it.  An explicit form list may repeat a form, so there the
 polynomial determinant is divided by the product instead.  The
 Solomon-Terao ideal of an arrangement is generated by the images
 theta(x1 + ... + xn) of a certified basis; each image is the sum of the
-coefficients of theta.
+coefficients of theta.  Both certified bases come from one column-product
+formula: the southwest basis is it, and the skip basis is it on the skip
+arrangement with each skipped slot truncated to one term.
 
 Targets are either an Arrangement or an explicit list of linear forms.
 The latter keeps fixtures like {x1+x2 = 0} available even though the
@@ -21,11 +23,14 @@ arrangement type only models forms x_i - x_j and x_j.
 
 from __future__ import annotations
 
+import math
+
 from .arrangements import (
     Arrangement,
+    forms_product,
     is_southwest,
     linear_forms,
-    staircase,
+    skip_arrangement,
 )
 from .groebner import Ideal
 from .polynomials import (
@@ -208,66 +213,45 @@ def saito_check(thetas, target):
         ]
         return bool(matrix_determinant(rows, 0))
     det = matrix_determinant([theta.coeffs for theta in thetas], n)
-    q = Polynomial.one(n)
-    for alpha in forms:
-        q = q * alpha
-    quotient = exact_divide(det, q)
+    quotient = exact_divide(det, math.prod(forms, start=Polynomial.one(n)))
     return quotient is not None and quotient.degree() == 0
+
+
+def _column_derivation(A, j, slots):
+    """Sum over k in slots of the product of the column-j forms of A with
+    their second index moved to k, times d/dx_k."""
+    col = [i for i, jj in A.pairs if jj == j]
+    coeffs = [Polynomial.zero(A.n)] * A.n
+    for k in slots:
+        coeffs[k - 1] = forms_product([(i, k) for i in col], A.n)
+    return Derivation(coeffs)
 
 
 def southwest_basis(A):
     """The column-product free basis of a southwest arrangement.
 
-    Entry j sums, over k = j..n, the product of the column-j forms with
-    their second index moved to k, times d/dx_k.  An empty column gives
-    the bare tail sum of partials.  Degrees are the column counts.
+    Entry j is the column-j derivation over the slots k = j..n.  An empty
+    column gives the bare tail sum of partials.  Degrees are the column
+    counts.
     """
     if not is_southwest(A):
         raise ValueError("basis formula requires a southwest arrangement")
-    n = A.n
-    out = []
-    for j in range(1, n + 1):
-        col = sorted(i for i, jj in A.pairs if jj == j)
-        coeffs = [Polynomial.zero(n)] * n
-        for k in range(j, n + 1):
-            xk = Polynomial.variable(n, k)
-            c = Polynomial.one(n)
-            for i in col:
-                c = c * (xk if i == 0 else Polynomial.variable(n, i) - xk)
-            coeffs[k - 1] = c
-        out.append(Derivation(coeffs))
-    return out
+    return [_column_derivation(A, j, range(j, A.n + 1)) for j in range(1, A.n + 1)]
 
 
 def skip_basis(skips, n):
     """Free basis for the arrangement whose rows skip the given indices.
 
-    Unskipped slot i: sum over k = i..n of x_k times the product of
-    (x_j - x_k) over unskipped j below i, times d/dx_k.  Skipped slot i:
-    the same product evaluated at k = i, times d/dx_i alone.  Degrees are
-    the staircase entries.
+    The column-product formula on skip_arrangement(skips, n), truncated:
+    an unskipped slot i sums over k = i..n, a skipped slot i keeps only its
+    k = i term.  Degrees are the staircase entries.
     """
     skips = frozenset(skips)
-    staircase(skips, n)  # validates the skip set
-    below = {i: [j for j in range(1, i) if j not in skips] for i in range(1, n + 1)}
-    out = []
-    for i in range(1, n + 1):
-        coeffs = [Polynomial.zero(n)] * n
-        if i in skips:
-            xi = Polynomial.variable(n, i)
-            c = Polynomial.one(n)
-            for j in below[i]:
-                c = c * (Polynomial.variable(n, j) - xi)
-            coeffs[i - 1] = c
-        else:
-            for k in range(i, n + 1):
-                xk = Polynomial.variable(n, k)
-                c = xk
-                for j in below[i]:
-                    c = c * (Polynomial.variable(n, j) - xk)
-                coeffs[k - 1] = c
-        out.append(Derivation(coeffs))
-    return out
+    A = skip_arrangement(skips, n)
+    return [
+        _column_derivation(A, i, [i] if i in skips else range(i, n + 1))
+        for i in range(1, n + 1)
+    ]
 
 
 def _eta(n):

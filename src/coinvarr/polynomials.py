@@ -189,7 +189,7 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         exps = [0] * n
         exps[i - 1] = 1
-        return cls(n, {tuple(exps): 1})
+        return cls._from_terms(n, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, n, exps, c=1):

@@ -16,6 +16,7 @@ from .arrangements import (
     Arrangement,
     column_counts,
     delete,
+    forms_product,
     full_arrangement,
     is_essential,
     is_southwest,
@@ -278,9 +279,7 @@ def cospan_check(pairs, n):
     everything = full_arrangement(n).pairs
     if not chosen <= everything:
         raise ValueError("pairs must come from the full arrangement")
-    product = Polynomial.one(n)
-    for p in sorted(chosen):
-        product = product * linear_form(p, n)
+    product = forms_product(chosen, n)
     member = steinberg_member(product)
     rest = [linear_form(p, n) for p in sorted(everything - chosen)]
     spans = rank_of_elements(rest) == n
@@ -303,9 +302,7 @@ def colon_descent_check(A, B):
     if not set(B.pairs) <= set(A.pairs):
         raise ValueError("the second arrangement must sit inside the first")
     big = st_ideal(A, certified_basis(A))
-    ratio = Polynomial.one(A.n)
-    for p in sorted(A.pairs - B.pairs):
-        ratio = ratio * linear_form(p, A.n)
+    ratio = forms_product(A.pairs - B.pairs, A.n)
     if not big.is_artinian():
         return "skipped"
     if big.contains(ratio):

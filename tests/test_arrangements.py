@@ -16,6 +16,7 @@ from coinvarr.arrangements import (
     diagram,
     enumerate_southwest,
     format_arrangement,
+    forms_product,
     full_arrangement,
     intersection_flats,
     is_chordal,
@@ -35,7 +36,7 @@ from coinvarr.arrangements import (
     staircase_monomials,
     subsets,
 )
-from coinvarr.polynomials import Polynomial, variables
+from coinvarr.polynomials import Polynomial, vandermonde, variables
 
 # the worked n=5 example used throughout: x1, x2, x1-x2, x1-x3, x2-x3,
 # x1-x4, x2-x4, x3-x4, x2-x5
@@ -170,12 +171,28 @@ def test_skip_arrangement_structure():
 
 def test_skip_products_match_complement():
     for n in range(1, 5):
+        xs = variables(n)
         for r in range(0, n + 1):
             for skips in itertools.combinations(range(1, n + 1), r):
                 A = skip_arrangement(skips, n)
                 missing = Arrangement(n, full_arrangement(n).pairs - A.pairs)
                 product = math.prod(linear_forms(missing), start=Polynomial.one(n))
                 assert product == skip_forms_product(skips, n)
+                # the closed form, one factor at a time
+                closed = Polynomial.one(n)
+                for j in skips:
+                    closed = closed * xs[j - 1]
+                    for i in range(j + 1, n + 1):
+                        closed = closed * (xs[j - 1] - xs[i - 1])
+                assert product == closed
+
+
+def test_forms_product_of_braid_pairs_is_vandermonde():
+    for n in range(0, 6):
+        assert forms_product((), n) == Polynomial.one(n)
+        assert forms_product(braid_arrangement(n).pairs, n) == vandermonde(n)
+    with pytest.raises(ValueError):
+        forms_product([(2, 1)], 2)
 
 
 def test_delete_and_column_counts():

@@ -65,7 +65,7 @@ def test_run_suite_empties_the_groebner_cache(monkeypatch):
         assert not groebner._GB_CACHE
         assert not st_algebras._CLASSIFIED
 
-    def failing_plan(cfg, top):
+    def failing_plan(top):
         _fill_groebner_cache()
         raise RuntimeError("plan failed")
 
@@ -195,7 +195,7 @@ def test_n_caps_symmetric_toolkit():
 def test_plan_keys_are_distinct(name):
     # sampling and the report sort order tasks by (n, key) alone
     suite = SUITES[name]
-    tasks = suite.plan(RunConfig(exhaustive=True), suite.cap)
+    tasks = suite.plan(suite.cap)
     assert all(len(task) == 3 for task in tasks)
     keys = [(n, key) for n, key, _ in tasks]
     assert len(set(keys)) == len(keys)

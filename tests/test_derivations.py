@@ -21,6 +21,7 @@ from coinvarr.arrangements import (
     skip_arrangement,
     skip_forms_product,
     staircase,
+    subsets,
 )
 from coinvarr.derivations import (
     Derivation,
@@ -384,6 +385,61 @@ def test_skip_basis_degrees_and_certification():
                 assert saito_check(
                     skip_basis(skips, n), skip_arrangement(skips, n)
                 ), (n, skips)
+
+
+def _southwest_basis_literal(A):
+    # reference: the hand-written column products, one factor at a time
+    n = A.n
+    out = []
+    for j in range(1, n + 1):
+        col = sorted(i for i, jj in A.pairs if jj == j)
+        coeffs = [Polynomial.zero(n)] * n
+        for k in range(j, n + 1):
+            xk = Polynomial.variable(n, k)
+            c = Polynomial.one(n)
+            for i in col:
+                c = c * (xk if i == 0 else Polynomial.variable(n, i) - xk)
+            coeffs[k - 1] = c
+        out.append(Derivation(coeffs))
+    return out
+
+
+def _skip_basis_literal(skips, n):
+    # reference: unskipped slot i sums x_k * prod (x_j - x_k) over k = i..n,
+    # a skipped slot keeps only the k = i product without the x_k factor
+    below = {i: [j for j in range(1, i) if j not in skips] for i in range(1, n + 1)}
+    out = []
+    for i in range(1, n + 1):
+        coeffs = [Polynomial.zero(n)] * n
+        if i in skips:
+            xi = Polynomial.variable(n, i)
+            c = Polynomial.one(n)
+            for j in below[i]:
+                c = c * (Polynomial.variable(n, j) - xi)
+            coeffs[i - 1] = c
+        else:
+            for k in range(i, n + 1):
+                xk = Polynomial.variable(n, k)
+                c = xk
+                for j in below[i]:
+                    c = c * (Polynomial.variable(n, j) - xk)
+                coeffs[k - 1] = c
+        out.append(Derivation(coeffs))
+    return out
+
+
+def test_southwest_basis_matches_the_literal_column_products():
+    cases = [A for n in range(1, 5) for A in enumerate_southwest(n)] + [EXAMPLE5]
+    for A in cases:
+        assert southwest_basis(A) == _southwest_basis_literal(A), A
+
+
+def test_skip_basis_matches_the_literal_staircase_formula():
+    # a skipped slot is the column product truncated to its k = i term; a
+    # full k = i..n sum there differs whenever a slot below n is skipped
+    for n in range(1, 6):
+        for skips in subsets(range(1, n + 1)):
+            assert skip_basis(skips, n) == _skip_basis_literal(skips, n), (n, skips)
 
 
 def test_restrict_derivation_fixtures():
