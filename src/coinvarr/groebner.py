@@ -6,20 +6,22 @@ ideal this library touches (n <= 5, small degrees); signature-based
 algorithms would buy nothing here and cost auditability.
 
 Ideals, normal forms and leading terms all use grevlex.  Only
-groebner_basis takes a monomial order, as a descending rank on exponent
-tuples like grevlex_key, so that colon can eliminate a fresh variable under
-the block order elim_key(1).  Reduced bases are canonical (monic,
+groebner_basis takes a monomial order, as a tuple of block sizes: blocks
+compare first-block first, with grevlex inside each block, so (n,) is
+grevlex, (1, n) is the order colon uses to eliminate a fresh first
+variable, and (1,) * n is lex.  Reduced bases are canonical (monic,
 auto-reduced, sorted by leading monomial, the smallest first), so ideal
 equality is literal equality of reduced bases.
 
-Reduction keeps each remainder's terms in a heap keyed by that rank
-(Monagan and Pearce, CASC 2007): sub_scaled pushes a term when it creates
-it, and pop_terms hands out the largest live term next, skipping entries
-whose term has cancelled.  So each term is ranked once, not once per
-reduction step.  normal_form takes leading terms from the memoised
-Polynomial.leading() and reads a monic basis element's term dict in place;
-reducers never write to the dicts of a basis, only to the remainder they
-own.
+Inside the kernel each monomial is one packed int (Monagan and Pearce,
+CASC 2007) whose integer order is the monomial order; see _Packing.  A
+product of monomials is a sum of ints, "lead divides term" is one guarded
+subtraction and one AND, and a remainder's terms sit in a heap of negated
+ints, so the largest live term pops next and each term is ordered once,
+when it appears.  Terms go back to exponent tuples only in the returned
+Polynomials.  Reducers read a monic basis element's term dict in place and
+write only to the remainder they own; normal_form keeps the packed rows of
+the last basis it saw, since callers query one basis many times in a row.
 
 The environment variable COINVARR_GB_TERM_CAP, when set, bounds the total
 number of stored terms across a basis-in-progress; exceeding it raises
@@ -29,7 +31,8 @@ GroebnerResourceError instead of exhausting memory.
 from __future__ import annotations
 
 import os
-from heapq import heappop, heappush
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .polynomials import (
     AmbientMismatch,
@@ -37,10 +40,6 @@ from .polynomials import (
     box_monomials,
     coeff_div,
     exact_divide,
-    grevlex_key,
-    keyed_heap,
-    pop_terms,
-    sub_scaled,
 )
 
 ENV_TERM_CAP = "COINVARR_GB_TERM_CAP"
@@ -48,18 +47,6 @@ ENV_TERM_CAP = "COINVARR_GB_TERM_CAP"
 
 class GroebnerResourceError(RuntimeError):
     """Basis computation exceeded the configured term cap."""
-
-
-def elim_key(k):
-    """Descending rank of the block order eliminating the first k variables.
-
-    Blocks compare first-block first, grevlex inside each block.
-    """
-
-    def key(exps):
-        return (grevlex_key(exps[:k]), grevlex_key(exps[k:]))
-
-    return key
 
 
 def term_cap():
@@ -72,24 +59,131 @@ def term_cap():
     return int(raw)
 
 
+# -- packed monomials ---------------------------------------------------------
+
+
+class _Packing:
+    """Monomials of a block-grevlex order packed one int each.
+
+    A block of m variables packs to deg << (m*b) - P, where P holds the
+    block's exponents in b-bit fields, its last variable most significant,
+    and deg is the block's degree; blocks stack first-block-most-significant,
+    each with D = b + n.bit_length() bits of degree.  So the integer order
+    is the monomial order, and packing is linear: it is the dot product
+    with weights, and the pack of a product is the sum of the packs.
+
+    raw(O) = (bias - O) & pmask is the exponent fields of every block in
+    place (bias fills each degree field with ones, so no borrow crosses a
+    block).  L divides E iff ((raw(E) | guard) - raw(L)) & guard == guard,
+    where guard holds the top bit of every field; no borrow crosses a field
+    while every field is below 2**(b-1).  Inputs are packed with b chosen
+    from their degrees so that they fit, sums of two fitting monomials are
+    exact, and _nf_dict rejects a monomial with a field at or above the limit
+    when it is popped, before it can reduce, shift or be returned.
+    """
+
+    __slots__ = ("n", "bits", "weights", "positions", "guard", "pmask", "bias")
+
+    def __init__(self, blocks, bits):
+        n = sum(blocks)
+        self.n = n
+        self.bits = bits
+        self.weights = [0] * n
+        self.positions = [0] * n
+        self.guard = self.pmask = self.bias = 0
+        headroom = bits + n.bit_length()
+        off = 0
+        first = n
+        for m in reversed(blocks):  # the last block is least significant
+            first -= m
+            top = off + m * bits
+            for j in range(m):
+                pos = off + j * bits
+                self.positions[first + j] = pos
+                self.weights[first + j] = (1 << top) - (1 << pos)
+                self.guard |= 1 << (pos + bits - 1)
+            self.pmask |= ((1 << (m * bits)) - 1) << off
+            self.bias |= ((1 << headroom) - 1) << top
+            off = top + headroom
+
+    def pack(self, exps):
+        return sum(map(int.__mul__, exps, self.weights))
+
+    def pack_terms(self, terms, names):
+        """A term dict keyed by exponent tuples, keyed by packed ints.
+
+        Each packed key is recorded in names with its tuple.
+        """
+        w = self.weights
+        out = {}
+        for e, c in terms.items():
+            o = sum(map(int.__mul__, e, w))
+            out[o] = c
+            names[o] = e
+        return out
+
+    def raw(self, o):
+        return (self.bias - o) & self.pmask
+
+    def unpack(self, o):
+        raw = self.raw(o)
+        mask = (1 << self.bits) - 1
+        return tuple((raw >> p) & mask for p in self.positions)
+
+
+@lru_cache(maxsize=None)
+def _packing(blocks, bits):
+    return _Packing(blocks, bits)
+
+
+def _packing_for(blocks, degree):
+    """The packing of the block order whose fields fit twice degree."""
+    return _packing(blocks, max(8, degree.bit_length() + 2))
+
+
 # -- raw term-dict plumbing (hot path) --------------------------------------
 
 
-def _nf_dict(t, heap, prepared, key):
-    """Fully reduce term dict t against prepared [(lead, monic poly dict)] rows.
+def _sub_shifted(t, g, coeff, shift, heap):
+    """t -= coeff * x^shift * g on packed term dicts, pushing t's new terms."""
+    for e, c in g.items():
+        k = e + shift
+        s = t.get(k)
+        if s is None:
+            t[k] = -coeff * c
+            heappush(heap, -k)
+        else:
+            s -= coeff * c
+            if s:
+                t[k] = s
+            else:
+                del t[k]
 
-    t is consumed; heap is its keyed_heap, so each term is ranked once, when
-    it appears, and the largest live term comes next at every step.
+
+def _nf_dict(t, heap, rows, pk):
+    """Fully reduce packed term dict t against rows [(lead, raw lead, monic dict)].
+
+    t is consumed; heap holds its negated terms, so the largest live term
+    comes next at every step.  The result lists its terms largest first.
     """
     out = {}
-    for e, c in pop_terms(t, heap):
-        for le, g in prepared:
-            if all(a >= b for a, b in zip(e, le)):
-                shift = tuple(a - b for a, b in zip(e, le))
-                sub_scaled(t, g, c, shift, heap, key)  # g is monic: cancels e
+    bias, pmask, guard = pk.bias, pk.pmask, pk.guard
+    while heap:
+        o = -heappop(heap)
+        c = t.get(o)
+        if c is None:
+            continue  # cancelled since it was pushed
+        raw = (bias - o) & pmask
+        if raw & guard:
+            limit = 1 << (pk.bits - 1)
+            raise OverflowError(f"an exponent reached {limit}, the packed field limit")
+        probe = raw | guard
+        for lo, lraw, g in rows:
+            if (probe - lraw) & guard == guard:
+                _sub_shifted(t, g, c, o - lo, heap)  # g is monic: cancels o
                 break
         else:
-            out[e] = t.pop(e)
+            out[o] = t.pop(o)
     return out
 
 
@@ -100,12 +194,39 @@ def _monic(t, lc):
     return {e: coeff_div(c, lc) for e, c in t.items()}
 
 
-def groebner_basis(polys, key=grevlex_key):
+def _row(pk, t):
+    """(lead, raw lead, monic t) for a nonzero packed term dict t."""
+    lead = max(t)
+    return lead, pk.raw(lead), _monic(t, t[lead])
+
+
+def _nf_heap(t):
+    heap = [-o for o in t]
+    heapify(heap)
+    return heap
+
+
+def _polynomial(pk, t, names):
+    """Packed term dict t as a Polynomial.
+
+    names maps packed keys to exponent tuples and memoises unpack, so the
+    result shares its tuples with the inputs and with earlier results.
+    """
+    terms = {}
+    for o, c in t.items():
+        e = names.get(o)
+        if e is None:
+            e = names[o] = pk.unpack(o)
+        terms[e] = c
+    return Polynomial._from_terms(pk.n, terms)
+
+
+def groebner_basis(polys, blocks=None):
     """Reduced Groebner basis of the ideal generated by polys.
 
-    key is the monomial order, a descending rank on exponent tuples (the
-    larger monomial ranks lower).  Returns a canonical list of monic
-    Polynomials sorted by leading monomial, the smallest first.
+    blocks is the monomial order as a tuple of block sizes summing to n,
+    grevlex inside each block; None is (n,), grevlex.  Returns a canonical
+    list of monic Polynomials sorted by leading monomial, the smallest first.
     """
     cap = term_cap()
     nonzero = [p for p in polys if p]
@@ -115,33 +236,37 @@ def groebner_basis(polys, key=grevlex_key):
     for p in nonzero:
         if p.n != n:
             raise AmbientMismatch("generators disagree on ambient n")
+    blocks = (n,) if blocks is None else tuple(blocks)
+    if sum(blocks) != n or min(blocks, default=1) < 1:
+        raise ValueError(f"blocks {blocks} do not split {n} variables")
+    degrees = [p.degree() for p in nonzero]
+    pk = _packing_for(blocks, max(degrees))
 
     # deterministic start: sort generators by leading monomial then content,
     # the smallest lead first
+    names = {}
     start = sorted(
-        (p.terms for p in nonzero),
-        key=lambda t: (min(map(key, t)), sorted(t.items())),
-        reverse=True,
+        ((pk.pack_terms(p.terms, names), d) for p, d in zip(nonzero, degrees)),
+        key=lambda td: (max(td[0]), sorted(td[0].items())),
     )
 
-    basis = []  # term dicts, monic
-    leads = []
+    rows = []  # (lead, raw lead, monic term dict) per basis element
+    leads = []  # exponent tuples of the leads
     sugars = []
     total_terms = 0
 
     def push(t, sugar):
         nonlocal total_terms
-        lead = min(t, key=key)
-        t = _monic(t, t[lead])
-        basis.append(t)
-        leads.append(lead)
+        row = _row(pk, t)
+        rows.append(row)
+        leads.append(pk.unpack(row[0]))
         sugars.append(sugar)
         total_terms += len(t)
         if cap is not None and total_terms > cap:
             raise GroebnerResourceError(
                 f"basis grew past {cap} stored terms ({ENV_TERM_CAP})"
             )
-        return len(basis) - 1
+        return len(rows) - 1
 
     heap = []
 
@@ -152,73 +277,75 @@ def groebner_basis(polys, key=grevlex_key):
             li = leads[i]
             lcm = tuple(max(a, b) for a, b in zip(li, lj))
             sugar = max(sugars[i] - sum(li), dj) + sum(lcm)
-            heappush(heap, (sugar, key(lcm), i, j, lcm))
+            heappush(heap, (sugar, -pk.pack(lcm), i, j))
 
-    for t in start:
-        idx = push(t, max(sum(e) for e in t))
-        queue_pairs(idx)
+    for t, degree in start:
+        queue_pairs(push(t, degree))
 
     done = set()
+    guard = pk.guard
     while heap:
-        sugar, _, i, j, lcm = heappop(heap)
+        sugar, neg_lcm, i, j = heappop(heap)
         done.add((i, j))
-        li, lj = leads[i], leads[j]
         # coprimality criterion: disjoint leads give a reducible S-pair
-        if all(min(a, b) == 0 for a, b in zip(li, lj)):
+        if not any(a and b for a, b in zip(leads[i], leads[j])):
             continue
+        lcm = -neg_lcm
         # chain criterion: a third lead dividing the lcm, both side pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if all(a <= b for a, b in zip(leads[k], lcm)):
-                if (min(i, k), max(i, k)) in done and (
-                    min(j, k),
-                    max(j, k),
-                ) in done:
-                    skip = True
-                    break
-        if skip:
+        probe = pk.raw(lcm) | guard
+        if any(
+            (probe - row[1]) & guard == guard
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k, row in enumerate(rows)
+            if k != i and k != j
+        ):
             continue
         s, s_heap = {}, []
-        for g, lead, coeff in ((basis[i], li, -1), (basis[j], lj, 1)):
-            shift = tuple(a - b for a, b in zip(lcm, lead))
-            sub_scaled(s, g, coeff, shift, s_heap, key)
-        h = _nf_dict(s, s_heap, list(zip(leads, basis)), key)
+        for (lead, _, g), coeff in ((rows[i], -1), (rows[j], 1)):
+            _sub_shifted(s, g, coeff, lcm - lead, s_heap)
+        h = _nf_dict(s, s_heap, rows, pk)
         if h:
-            idx = push(h, sugar)
-            queue_pairs(idx)
+            queue_pairs(push(h, sugar))
 
     # minimalize: drop elements whose lead another lead divides
     # (smallest lead first, so a lead's divisors are met before it)
-    order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i]), reverse=True)
     kept = []
-    for i in order_idx:
-        if any(all(a <= b for a, b in zip(leads[k], leads[i])) for k in kept):
-            continue
-        kept.append(i)
+    for row in sorted(rows, key=lambda row: row[0]):
+        probe = row[1] | guard
+        if not any((probe - k[1]) & guard == guard for k in kept):
+            kept.append(row)
     # inter-reduce tails for the canonical reduced basis; no other lead
     # divides a kept lead, so each keeps its lead and kept's order
     reduced = []
-    for i in kept:
-        others = [(leads[k], basis[k]) for k in kept if k != i]
-        t = dict(basis[i])
-        t = _nf_dict(t, keyed_heap(t, key), others, key)
-        reduced.append(Polynomial._from_terms(n, t))
+    for row in kept:
+        t = dict(row[2])
+        others = [k for k in kept if k is not row]
+        t = _nf_dict(t, _nf_heap(t), others, pk)
+        reduced.append(_polynomial(pk, t, names))
     return reduced
+
+
+# the packed rows of the last basis normal_form reduced against, as
+# [basis tuple, its degree, packing, rows]; one entry, because keeping every
+# basis packed would double the memory of the basis cache
+_LAST_ROWS = [None, -1, None, None]
 
 
 def normal_form(f, basis):
     """Fully reduce f against a list of Polynomials (typically a GB)."""
-    prepared = []
-    for p in basis:
-        if p:
-            lead, lc = p.leading()
-            prepared.append((lead, _monic(p.terms, lc)))
-    t = dict(f.terms)
-    return Polynomial._from_terms(
-        f.n, _nf_dict(t, keyed_heap(t, grevlex_key), prepared, grevlex_key)
-    )
+    if not f:
+        return Polynomial.zero(f.n)
+    key = tuple(basis)
+    memo = _LAST_ROWS
+    if memo[0] != key:
+        memo[:] = key, max((p.degree() for p in key), default=-1), None, None
+    pk = _packing_for((f.n,), max(f.degree(), memo[1]))
+    if pk is not memo[2]:
+        memo[2:] = pk, [_row(pk, pk.pack_terms(p.terms, {})) for p in key if p]
+    names = {}
+    t = pk.pack_terms(f.terms, names)
+    return _polynomial(pk, _nf_dict(t, _nf_heap(t), memo[3], pk), names)
 
 
 def s_polynomial(f, g):
@@ -238,8 +365,9 @@ _GB_CACHE = {}
 
 
 def clear_basis_cache():
-    """Forget every cached reduced basis."""
+    """Forget every cached reduced basis, and the packed rows of the last."""
     _GB_CACHE.clear()
+    _LAST_ROWS[:] = None, -1, None, None
 
 
 class Ideal:
@@ -300,7 +428,7 @@ class Ideal:
         return None not in self.box_bounds()
 
     def standard_monomials(self):
-        """Grevlex-sorted exponent tuples of the quotient basis.
+        """Exponent tuples of the quotient basis, grevlex-ascending.
 
         These are the monomials that no leading term divides; the ideal must
         be Artinian, so they all fit in the box of box_bounds().
@@ -309,13 +437,17 @@ class Ideal:
         if None in bounds:
             raise ValueError("standard monomials need an Artinian ideal")
         leads = self._lead_exps()
-        out = [
-            exps
-            for exps in box_monomials(bounds)
-            if not any(all(a >= b for a, b in zip(exps, le)) for le in leads)
-        ]
-        out.sort(key=grevlex_key, reverse=True)
-        return out
+        pk = _packing_for((self.n,), max([sum(bounds), *map(sum, leads)]))
+        guard = pk.guard
+        lead_raws = [pk.raw(pk.pack(le)) for le in leads]
+        out = []
+        for exps in box_monomials(bounds):
+            o = pk.pack(exps)
+            probe = pk.raw(o) | guard
+            if not any((probe - r) & guard == guard for r in lead_raws):
+                out.append((o, exps))
+        out.sort()
+        return [exps for _, exps in out]
 
     def dimension(self):
         """Vector-space dimension of the quotient, or None if infinite."""
@@ -374,7 +506,7 @@ def colon(I, f):
         both[(0,) + e] = c
         both[(1,) + e] = -c
     lifted.append(Polynomial(n + 1, both))  # (1 - t) * f
-    gb = groebner_basis(lifted, elim_key(1))
+    gb = groebner_basis(lifted, (1, n))
     quotients = []
     for g in gb:
         if all(e[0] == 0 for e in g.terms):

@@ -10,23 +10,25 @@ equal to the int, so equality, hashing and text() do not see the difference.
 Mixing polynomials with different ambient n raises AmbientMismatch rather
 than guessing a coercion.
 
-The one monomial order is grevlex, exposed as grevlex_key, so that leading
-terms, exact division, Groebner code and canonical printing share one
-definition.  A monomial order is keyed as a descending rank on exponent
-tuples: the larger monomial ranks lower, so min() gives the leading term,
-sorted() lists terms from the largest down, and a heap pops the largest
-first.  Plain tuple comparison is lex.
+The one monomial order of this module is grevlex, exposed as grevlex_key,
+so that leading terms, exact division and canonical printing share one
+definition; the Groebner kernel packs the same order into ints of its own
+and does not call grevlex_key.  A monomial order is keyed as a descending
+rank on exponent tuples: the larger monomial ranks lower, so min() gives the
+leading term, sorted() lists terms from the largest down, and a heap pops
+the largest first.  Plain tuple comparison is lex.
 
-Division keeps its remainder's terms in a keyed_heap: sub_scaled pushes the
-rank of each term it creates, and pop_terms hands out the largest live term
-and skips entries whose term has since cancelled, so each term is ranked
-once rather than at every step.  Polynomial.leading() memoises the leading
-exponent, like the hash.
+exact_divide keeps its remainder's terms in a keyed_heap: sub_scaled pushes
+the rank of each term it creates, and pop_terms hands out the largest live
+term and skips entries whose term has since cancelled, so each term is ranked
+once rather than at every step.  It stays on exponent tuples: its operands
+are mostly linear forms, too small for packing them to pay for itself.
+Polynomial.leading() memoises the leading exponent, like the hash.
 
-It is also the one home of the kernels the other layers share: shifted
-subtraction (sub_scaled) with keyed_heap and pop_terms, box enumeration,
-monomial text, and exact linear algebra (matrix_determinant and the
-fraction-free rank_of_elements).
+It is also the one home of the kernels the other layers share: box
+enumeration, monomial text, and exact linear algebra (matrix_determinant,
+by Bareiss elimination on constant matrices, and the fraction-free
+rank_of_elements).
 """
 
 from __future__ import annotations
@@ -497,12 +499,17 @@ def divides(g, f):
 def matrix_determinant(rows, n):
     """Determinant of a square matrix of polynomials in n variables.
 
-    Laplace expansion memoized on column subsets; fine for the small
-    matrices used here, and zero entries prune the expansion.
+    A constant matrix (n = 0) goes through fraction-free Bareiss
+    elimination on its entries.  Otherwise Laplace expansion memoized on
+    column subsets; fine for the small matrices used here, and zero entries
+    prune the expansion.
     """
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("matrix must be square")
+    if n == 0:
+        constants = [[entry.terms.get((), 0) for entry in row] for row in rows]
+        return Polynomial.constant(0, _bareiss(constants))
     cache = {}
 
     def minor(r, cols):
@@ -522,6 +529,33 @@ def matrix_determinant(rows, n):
         return total
 
     return minor(0, tuple(range(size)))
+
+
+def _bareiss(m):
+    """Determinant of a square list of int or Fraction rows, consumed in place.
+
+    Fraction-free Bareiss elimination: after step k every entry below and
+    right of the pivot is a (k+1)-minor, so each division by the previous
+    pivot is exact.  A zero pivot swaps in a lower row with a nonzero entry
+    in its column, negating the sign; with none left the matrix is singular.
+    """
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row = m[k][k], m[k]
+        for i in range(k + 1, size):
+            lower = m[i]
+            head = lower[k]
+            for j in range(k + 1, size):
+                lower[j] = coeff_div(pivot * lower[j] - head * row[j], prev)
+        prev = pivot
+    return sign * m[-1][-1] if size else 1
 
 
 def rank_of_elements(elements):

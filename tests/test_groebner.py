@@ -12,8 +12,9 @@ from coinvarr.groebner import (
     ENV_TERM_CAP,
     GroebnerResourceError,
     Ideal,
+    _packing,
+    _packing_for,
     colon,
-    elim_key,
     groebner_basis,
     ideal_equal,
     is_regular_sequence,
@@ -34,10 +35,23 @@ def _lex_key(exps):
     return tuple(-e for e in exps)
 
 
+def elim_key(k):
+    """Descending rank of the block order eliminating the first k variables.
+
+    Blocks compare first-block first, grevlex inside each block: the
+    reference rank for the engine's blocks=(k, n - k).
+    """
+
+    def key(exps):
+        return (grevlex_key(exps[:k]), grevlex_key(exps[k:]))
+
+    return key
+
+
 def test_groebner_lex_fixture():
     # hand-derived: S(x1+x2, x1*x2) = x2^2 under lex, already reduced
     x1, x2 = variables(2)
-    gb = groebner_basis([x1 + x2, x1 * x2], key=_lex_key)
+    gb = groebner_basis([x1 + x2, x1 * x2], blocks=(1, 1))
     assert [g.text() for g in gb] == ["x2^2", "x1+x2"] or [
         g.text() for g in gb
     ] == ["x1+x2", "x2^2"]
@@ -125,14 +139,68 @@ def test_heap_reduction_matches_whole_remainder_reference():
     for _ in range(24):
         n = rng.randint(3, 4)
         polys = [_random_sparse(rng, n, 2, 3) for _ in range(rng.randint(2, 3))]
-        for key in (grevlex_key, elim_key(1)):
-            gb = groebner_basis(polys, key=key)
+        for key, blocks in (
+            (grevlex_key, (n,)),
+            (elim_key(1), (1, n - 1)),
+            (_lex_key, (1,) * n),
+        ):
+            gb = groebner_basis(polys, blocks=blocks)
             assert [g.terms for g in gb] == _ref_groebner(polys, key)
         gb = groebner_basis(polys)
         prepared = [(g.leading()[0], g.terms) for g in gb]
         for _ in range(4):
             f = _random_sparse(rng, n, 3, 6)
             assert normal_form(f, gb).terms == _ref_nf(f.terms, prepared, grevlex_key)
+
+
+def test_packed_monomials_follow_the_block_orders():
+    # for grevlex, the colon elimination order and lex: the packed int
+    # orders as the reference rank, unpacks to its tuple, adds under
+    # products, and its guarded subtraction is componentwise >=
+    rng = random.Random(1511)
+    for n in range(1, 8):
+        orders = [((n,), grevlex_key), ((1,) * n, _lex_key)]
+        if n > 1:
+            orders.append(((1, n - 1), elim_key(1)))
+        for blocks, key in orders:
+            pk = _packing(blocks, 8)
+            guard = pk.guard
+            for _ in range(60):
+                top = rng.choice((2, 5, 63))
+                a, b = (tuple(rng.randint(0, top) for _ in range(n)) for _ in "ab")
+                pa, pb = pk.pack(a), pk.pack(b)
+                assert (pa < pb) == (key(a) > key(b)), (blocks, a, b)
+                assert (pa == pb) == (a == b)
+                assert pk.unpack(pa) == a
+                s = tuple(x + y for x, y in zip(a, b))
+                assert pk.pack(s) == pa + pb
+                assert pk.unpack(pa + pb) == s
+                divides = ((pk.raw(pa) | guard) - pk.raw(pb)) & guard == guard
+                assert divides == all(x >= y for x, y in zip(a, b)), (blocks, a, b)
+
+
+def test_exponent_at_the_packed_field_limit_raises():
+    # lex reduction of x1^32 by x1 - x2^4 reaches x2^128; degree-32 inputs
+    # pack into 8-bit fields that hold up to 127, so the pop guard must
+    # raise rather than return a basis
+    x1, x2 = variables(2)
+    assert _packing_for((1, 1), 32).bits == 8
+    with pytest.raises(OverflowError):
+        groebner_basis([x1 - x2**4, x1**32], blocks=(1, 1))
+    # one step below the limit the same route gives the basis
+    gb = groebner_basis([x1 - x2**4, x1**31], blocks=(1, 1))
+    assert gb == [x2**124, x1 - x2**4]
+
+
+def test_normal_form_repacks_past_the_last_basis_fields():
+    # normal_form keeps the packed rows of the last basis; a higher-degree f
+    # needs wider fields, and a different basis must not reuse them
+    x1, x2 = variables(2)
+    gb = groebner_basis([x2**2 - x1])
+    assert normal_form(x2**4, gb) == x1**2
+    assert normal_form(x2**301, gb) == x1**150 * x2
+    assert normal_form(x2**4, groebner_basis([x2**2 - 2 * x1])) == 4 * x1**2
+    assert normal_form(x2**4, gb) == x1**2
 
 
 def test_normal_form_fixture():
@@ -185,8 +253,9 @@ def test_membership_agrees_across_orders():
             },
         )
         # lex membership: f joins the ideal without changing its lex basis
-        lex_gb = groebner_basis(gens, key=_lex_key)
-        assert I.contains(f) == (groebner_basis(gens + [f], key=_lex_key) == lex_gb)
+        lex = (1,) * n
+        lex_gb = groebner_basis(gens, blocks=lex)
+        assert I.contains(f) == (groebner_basis(gens + [f], blocks=lex) == lex_gb)
 
 
 def test_standard_monomials_fixture():

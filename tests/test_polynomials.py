@@ -15,6 +15,7 @@ from coinvarr.polynomials import (
     divides,
     exact_divide,
     grevlex_key,
+    matrix_determinant,
     vandermonde,
     variables,
 )
@@ -346,3 +347,44 @@ def test_parse_rejects_garbage():
         Polynomial.parse("", 2)
     with pytest.raises(ValueError):
         Polynomial.parse("1.5*x1", 2)
+
+
+def _laplace(m):
+    """Determinant by first-row Laplace expansion, the reference."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _laplace([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def test_constant_determinant_matches_laplace():
+    # 0-variable matrices go through Bareiss elimination; singular matrices
+    # and zero leading pivots (which need a row swap) are in the mix
+    rng = random.Random(1601)
+    cases = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[0, 5], [0, 7]]]
+    for _ in range(300):
+        size = rng.randint(0, 6)
+        if rng.random() < 0.5:
+            entry = lambda: rng.choice((0, 0, 0, 1, -1, 2, -3))
+        else:
+            entry = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        m = [[entry() for _ in range(size)] for _ in range(size)]
+        if size > 1 and rng.random() < 0.3:
+            m[-1] = [2 * v for v in m[0]]  # singular
+        if size and rng.random() < 0.5:
+            m[0][0] = 0  # the first pivot needs a swap
+        cases.append(m)
+    swapped = singular = 0
+    for m in cases:
+        want = _laplace(m)
+        rows = [[Polynomial.constant(0, v) for v in row] for row in m]
+        assert matrix_determinant(rows, 0) == Polynomial.constant(0, want), m
+        # the same matrix one variable up takes the Laplace route
+        lifted = [[Polynomial.constant(1, v) for v in row] for row in m]
+        assert matrix_determinant(lifted, 1) == Polynomial.constant(1, want), m
+        swapped += bool(m and not m[0][0] and want)
+        singular += not want
+    assert swapped > 20 and singular > 20
