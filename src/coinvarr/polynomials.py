@@ -15,15 +15,16 @@ so that leading terms, exact division and canonical printing share one
 definition; the Groebner kernel packs the same order into ints of its own
 and does not call grevlex_key.  A monomial order is keyed as a descending
 rank on exponent tuples: the larger monomial ranks lower, so min() gives the
-leading term, sorted() lists terms from the largest down, and a heap pops
-the largest first.  Plain tuple comparison is lex.
+leading term and sorted() lists terms from the largest down.  Plain tuple
+comparison is lex.
 
-exact_divide keeps its remainder's terms in a keyed_heap: sub_scaled pushes
-the rank of each term it creates, and pop_terms hands out the largest live
-term and skips entries whose term has since cancelled, so each term is ranked
-once rather than at every step.  It stays on exponent tuples: its operands
-are mostly linear forms, too small for packing them to pay for itself.
-Polynomial.leading() memoises the leading exponent, like the hash.
+exact_divide is one plain loop on a copy of the dividend's term dict: it
+takes the grevlex-largest live term with min() at each step and subtracts
+the shifted divisor in place.  Its operands are mostly linear forms and small
+products of them, too small for a heap or for packed monomials to pay for
+themselves; the Groebner kernel's normal form is the package's one
+heap-ordered reducer.  Polynomial.leading() memoises the leading exponent,
+like the hash.
 
 It is also the one home of the kernels the other layers share: box
 enumeration, monomial text, and exact linear algebra (matrix_determinant,
@@ -37,7 +38,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from functools import cache
 from math import gcd, lcm
 from operator import add
 
@@ -51,8 +52,8 @@ def grevlex_key(exps):
 
     The grevlex-larger monomial has the smaller rank: higher total degree
     first, and within a degree the monomial whose rightmost differing
-    exponent is smaller.  So min() finds the leading term, sorted() lists
-    terms from the largest down, and a heap pops the largest first.
+    exponent is smaller.  So min() finds the leading term and sorted() lists
+    terms from the largest down.
     """
     return (-sum(exps), exps[::-1])
 
@@ -75,51 +76,6 @@ def coeff_div(a, b):
     """
     q, r = divmod(a, b)
     return q if not r else Fraction(a, b)
-
-
-def keyed_heap(t, key):
-    """A heap of (key(e), e) over the exponents of term dict t.
-
-    sub_scaled keeps it in step with t, and pop_terms reads t's terms from
-    it largest first in the order whose descending rank is key.
-    """
-    heap = [(key(e), e) for e in t]
-    heapify(heap)
-    return heap
-
-
-def pop_terms(t, heap):
-    """Yield the live terms (e, c) of t from its keyed_heap, largest first.
-
-    Between steps the consumer may change t through sub_scaled; terms keep
-    coming largest first as long as each new term lies below the one just
-    yielded, as in division.  Entries whose term has cancelled are skipped.
-    """
-    while heap:
-        e = heappop(heap)[1]
-        c = t.get(e)
-        if c is not None:
-            yield e, c
-
-
-def sub_scaled(t, g, coeff, shift, heap, key):
-    """t -= coeff * x^shift * g, in place on term dicts.
-
-    Each term this creates in t is pushed onto t's keyed_heap, so every
-    exponent is ranked once, when it appears, not at every reduction step.
-    """
-    for e, c in g.items():
-        k = tuple(map(add, shift, e))
-        s = t.get(k)
-        if s is None:
-            t[k] = -coeff * c
-            heappush(heap, (key(k), k))
-        else:
-            s -= coeff * c
-            if s:
-                t[k] = s
-            else:
-                del t[k]
 
 
 def box_monomials(bounds):
@@ -383,12 +339,11 @@ class Polynomial:
         s = s.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial string")
-        if s == "0":
-            return cls.zero(n)
+        pieces = re.findall(r"([+-]?)([^+-]+)", s)
+        if "".join(sign + body for sign, body in pieces) != s:
+            raise ValueError(f"bad polynomial syntax in {s!r}")
         terms = {}
-        for sign, body in re.findall(r"([+-]?)([^+-]+)", s):
-            if not body:
-                raise ValueError(f"bad polynomial syntax in {s!r}")
+        for sign, body in pieces:
             coeff = Fraction(-1 if sign == "-" else 1)
             exps = [0] * n
             saw_coeff = False
@@ -402,7 +357,10 @@ class Polynomial:
                     continue
                 m = re.fullmatch(r"(\d+)(?:/(\d+))?", part)
                 if m and not saw_coeff:
-                    coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+                    den = int(m.group(2) or 1)
+                    if not den:
+                        raise ValueError(f"zero denominator in {s!r}")
+                    coeff *= Fraction(int(m.group(1)), den)
                     saw_coeff = True
                     continue
                 raise ValueError(f"bad term part {part!r} in {s!r}")
@@ -454,8 +412,12 @@ def diffop_apply(f, g):
     return Polynomial(f.n, out)
 
 
+@cache
 def vandermonde(n):
-    """prod_{1 <= i < j <= n} (x_i - x_j)."""
+    """prod_{1 <= i < j <= n} (x_i - x_j).
+
+    Built once per n and shared: callers must not change its terms.
+    """
     xs = variables(n)
     result = Polynomial.one(n)
     for i in range(n):
@@ -479,15 +441,20 @@ def exact_divide(f, g):
         return Polynomial.zero(f.n)
     ge, gc = g.leading()
     work = dict(f.terms)
-    heap = keyed_heap(work, grevlex_key)
     quot = {}
-    for e, c in pop_terms(work, heap):
+    while work:
+        e = min(work, key=grevlex_key)
         if any(ei < gi for ei, gi in zip(e, ge)):
             return None
         shift = tuple(ei - gi for ei, gi in zip(e, ge))
-        q = coeff_div(c, gc)
-        quot[shift] = q
-        sub_scaled(work, g.terms, q, shift, heap, grevlex_key)  # cancels e
+        q = quot[shift] = coeff_div(work[e], gc)
+        for k, c in g.terms.items():  # work -= q * x^shift * g, which cancels e
+            k = tuple(map(add, shift, k))
+            s = work.get(k, 0) - q * c
+            if s:
+                work[k] = s
+            else:
+                del work[k]
     return Polynomial._from_terms(f.n, quot)
 
 

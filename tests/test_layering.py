@@ -98,3 +98,19 @@ def test_every_public_name_has_a_caller():
             used |= names - {own}
     assert sorted(public - used - set(UNREFERENCED)) == []
     assert set(UNREFERENCED) <= public - used
+
+
+def test_only_groebner_imports_heapq():
+    # groebner's normal form is the package's one heap-ordered reducer
+    users = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "heapq" for m in modules):
+                users.add(path.stem)
+    assert users == {"groebner"}

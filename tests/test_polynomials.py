@@ -3,6 +3,8 @@
 import itertools
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add
 
 import pytest
 
@@ -274,7 +276,8 @@ def test_exact_divide_random_products():
 
 def test_exact_divide_past_cancellations():
     # dividing f = g*h by g cancels f's term x1^2*x2 in one step and creates
-    # it again in a later one, so a stale entry for it is popped and skipped
+    # it again in a later one, so a term that has left the remainder must be
+    # found again when it comes back
     g = Polynomial.parse("2*x1^2-2*x1*x2+2", 2)
     h = Polynomial.parse("-x1^2*x2-2*x1-2*x2", 2)
     assert exact_divide(g * h, g) == h
@@ -297,6 +300,81 @@ def test_exact_divide_past_cancellations():
         assert exact_divide(f + Polynomial.monomial(n, r, 3), g) is None
         checked += 1
     assert checked >= 10
+
+
+def _heap_exact_divide(f, g):
+    """Quotient term dict of f/g, or None: the keyed-heap division, the reference.
+
+    The remainder's terms sit in a heap of (grevlex_key(e), e): each term is
+    pushed when it appears, popped largest first, and skipped if it has
+    cancelled since.
+    """
+    ge, gc = g.leading()
+    work = dict(f.terms)
+    heap = [(grevlex_key(e), e) for e in work]
+    heapify(heap)
+    quot = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = work.get(e)
+        if c is None:
+            continue
+        if any(ei < gi for ei, gi in zip(e, ge)):
+            return None
+        shift = tuple(ei - gi for ei, gi in zip(e, ge))
+        q = coeff_div(c, gc)
+        quot[shift] = q
+        for k, d in g.terms.items():
+            k = tuple(map(add, shift, k))
+            s = work.get(k)
+            if s is None:
+                work[k] = -q * d
+                heappush(heap, (grevlex_key(k), k))
+            else:
+                s -= q * d
+                if s:
+                    work[k] = s
+                else:
+                    del work[k]
+    return quot
+
+
+def test_exact_divide_against_keyed_heap_reference():
+    rng = random.Random(2024)
+    quotients = refusals = inhomogeneous = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        g = Polynomial(
+            n,
+            {
+                tuple(rng.randint(0, 2) for _ in range(n)): Fraction(
+                    rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)
+                )
+                for _ in range(rng.randint(1, 4))
+            },
+        )
+        h = _random_poly(rng, n, max_deg=3, max_terms=5)
+        r = _random_poly(rng, n, max_deg=3, max_terms=3)
+        inhomogeneous += not g.is_homogeneous()
+        for f in (g * h, g * h + r):
+            f_terms, g_terms = dict(f.terms), dict(g.terms)
+            want = _heap_exact_divide(f, g)
+            got = exact_divide(f, g)
+            assert f.terms == f_terms and g.terms == g_terms
+            if want is None:
+                assert got is None
+                refusals += 1
+                continue
+            assert got.terms == want
+            assert {e: type(c) for e, c in got.terms.items()} == {
+                e: type(c) for e, c in want.items()
+            }
+            quotients += 1
+        # g*h + r is divisible by g exactly when r is
+        assert (_heap_exact_divide(g * h + r, g) is None) == (
+            _heap_exact_divide(r, g) is None
+        )
+    assert quotients >= 300 and refusals >= 100 and inhomogeneous >= 100
 
 
 def test_monomial_order_keys():
@@ -347,6 +425,13 @@ def test_parse_rejects_garbage():
         Polynomial.parse("", 2)
     with pytest.raises(ValueError):
         Polynomial.parse("1.5*x1", 2)
+    # a sign or term the pieces do not account for, and a zero denominator
+    for bad in ["x1-+x2", "-", "+", "x1+", "3-", "1/0", "x1-1/0*x2"]:
+        with pytest.raises(ValueError):
+            Polynomial.parse(bad, 2)
+    x1, x2 = variables(2)
+    assert Polynomial.parse("0", 2) == 0
+    assert Polynomial.parse("+x1 - 1/2*x2", 2) == x1 - Fraction(1, 2) * x2
 
 
 def _laplace(m):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinvarr.polynomials import Polynomial, variables
+from coinvarr.polynomials import Polynomial, diffop_apply, vandermonde, variables
 from coinvarr.symmetric import (
     coinvariant_generators,
     complete,
@@ -180,6 +180,25 @@ def test_steinberg_member_fixtures():
     e2 = elementary(2, 2)
     assert steinberg_member(x1 * e2)
     assert steinberg_member((x1 + 3 * x2) * elementary(1, 2))
+
+
+def test_vandermonde_is_shared_and_left_unchanged():
+    # vandermonde(n) is built once and shared, so no caller may change it
+    rng = random.Random(31)
+    for n in range(1, 5):
+        v = vandermonde(n)
+        before = dict(v.terms)
+        assert vandermonde(n) == v
+        xs = variables(n)
+        for _ in range(10):
+            f = Polynomial.zero(n)
+            for _ in range(rng.randint(1, 4)):
+                f = f + rng.randint(-3, 3) * xs[rng.randrange(n)] ** rng.randint(0, 3)
+            steinberg_member(f)
+            steinberg_member(f * elementary(1, n))
+            diffop_apply(f, v)
+        assert v.terms == before
+        assert vandermonde(n).terms == before
 
 
 def test_steinberg_member_inhomogeneous():
