@@ -316,6 +316,8 @@ def _plan_southwest_quotient(top):
         arrangements.extend(
             A for A in enumerate_southwest(5, essential_only=True) if A != EXAMPLE5
         )
+    if top >= 6:
+        arrangements.extend(enumerate_southwest(6, essential_only=True))
     return [(A.n, format_arrangement(A), A) for A in arrangements]
 
 
@@ -432,7 +434,7 @@ SUITES = {
     "saito-southwest": Suite(
         "saito-southwest",
         4,
-        5,
+        6,
         _plan_saito_southwest,
         _run_saito_southwest,
         _count_saito_southwest,
@@ -468,7 +470,7 @@ SUITES = {
     "southwest-quotient": Suite(
         "southwest-quotient",
         4,
-        5,
+        6,
         _plan_southwest_quotient,
         _run_southwest_quotient,
         None,

@@ -2,7 +2,7 @@
 
 The engine is deliberately unfancy.  Buchberger with sugar-ordered pair
 selection plus the coprimality and chain criteria is fast enough for every
-ideal this library touches (n <= 5, small degrees); signature-based
+ideal this library touches (n <= 6, small degrees); signature-based
 algorithms would buy nothing here and cost auditability.
 
 Ideals, normal forms and leading terms all use grevlex.  Only
@@ -19,9 +19,18 @@ product of monomials is a sum of ints, "lead divides term" is one guarded
 subtraction and one AND, and a remainder's terms sit in a heap of negated
 ints, so the largest live term pops next and each term is ordered once,
 when it appears.  Terms go back to exponent tuples only in the returned
-Polynomials.  Reducers read a monic basis element's term dict in place and
-write only to the remainder they own; normal_form keeps the packed rows of
-the last basis it saw, since callers query one basis many times in a row.
+Polynomials.  normal_form keeps the packed rows of the last basis it saw,
+since callers query one basis many times in a row.
+
+Reduction runs over the integers (pseudo-reduction with content removal;
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992).  Every
+basis row is a primitive int term dict with a positive lead coefficient lc:
+denominators cleared and content divided out, once, when the row is made.
+To cancel a remainder term c*x^o with a row, the remainder is multiplied by
+lc/gcd(c, lc) rather than the row divided by lc, so no Fraction arises in
+the loop.  Only the reduced basis, made monic once at the end, and a normal
+form, divided by the accumulated scale, go back to Fractions.  Reducers
+read a row's term dict in place and write only to the remainder they own.
 
 The environment variable COINVARR_GB_TERM_CAP, when set, bounds the total
 number of stored terms across a basis-in-progress; exceeding it raises
@@ -33,6 +42,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .polynomials import (
     AmbientMismatch,
@@ -145,7 +155,7 @@ def _packing_for(blocks, degree):
 
 
 def _sub_shifted(t, g, coeff, shift, heap):
-    """t -= coeff * x^shift * g on packed term dicts, pushing t's new terms."""
+    """t -= coeff * x^shift * g on packed int term dicts, pushing t's new terms."""
     for e, c in g.items():
         k = e + shift
         s = t.get(k)
@@ -161,12 +171,18 @@ def _sub_shifted(t, g, coeff, shift, heap):
 
 
 def _nf_dict(t, heap, rows, pk):
-    """Fully reduce packed term dict t against rows [(lead, raw lead, monic dict)].
+    """Pseudo-reduce packed int term dict t against rows [(lead, raw lead, g, lc)].
 
-    t is consumed; heap holds its negated terms, so the largest live term
-    comes next at every step.  The result lists its terms largest first.
+    Returns (r, scale): r is the normal form of scale * t, an int term dict
+    listing its terms largest first, and scale is a positive int.  To cancel
+    the term c*x^o with a row whose lead coefficient is lc, both the live
+    remainder and the part already in r are multiplied by lc/d, with
+    d = gcd(c, lc), and (c/d)*x^shift*g is subtracted.  t is consumed; heap
+    holds its negated terms, so the largest live term comes next at every
+    step.
     """
     out = {}
+    scale = 1
     bias, pmask, guard = pk.bias, pk.pmask, pk.guard
     while heap:
         o = -heappop(heap)
@@ -178,26 +194,47 @@ def _nf_dict(t, heap, rows, pk):
             limit = 1 << (pk.bits - 1)
             raise OverflowError(f"an exponent reached {limit}, the packed field limit")
         probe = raw | guard
-        for lo, lraw, g in rows:
+        for lo, lraw, g, lc in rows:
             if (probe - lraw) & guard == guard:
-                _sub_shifted(t, g, c, o - lo, heap)  # g is monic: cancels o
+                d = gcd(c, lc)
+                if d != lc:
+                    m = lc // d
+                    t = {k: v * m for k, v in t.items()}
+                    out = {k: v * m for k, v in out.items()}
+                    scale *= m
+                _sub_shifted(t, g, c // d, o - lo, heap)  # cancels o
                 break
         else:
             out[o] = t.pop(o)
-    return out
+    return out, scale
 
 
-def _monic(t, lc):
-    """t scaled by 1/lc; t itself, uncopied, when lc is 1."""
-    if lc == 1:
-        return t
-    return {e: coeff_div(c, lc) for e, c in t.items()}
+def _cleared(t):
+    """(D * t, D) for a term dict t over Q, D the lcm of its denominators."""
+    den = lcm(*[c.denominator for c in t.values()])
+    return {o: c.numerator * (den // c.denominator) for o, c in t.items()}, den
+
+
+def _primitive(t):
+    """Term dict t over Q as a primitive int term dict with a positive lead.
+
+    Denominators are cleared and the content divided out, so the result is
+    the unique such multiple of t.
+    """
+    t, _ = _cleared(t)
+    content = gcd(*t.values())
+    if t[max(t)] < 0:
+        content = -content
+    if content != 1:
+        t = {o: c // content for o, c in t.items()}
+    return t
 
 
 def _row(pk, t):
-    """(lead, raw lead, monic t) for a nonzero packed term dict t."""
+    """(lead, raw lead, primitive t, its lead coefficient) for nonzero t."""
+    t = _primitive(t)
     lead = max(t)
-    return lead, pk.raw(lead), _monic(t, t[lead])
+    return lead, pk.raw(lead), t, t[lead]
 
 
 def _nf_heap(t):
@@ -250,7 +287,7 @@ def groebner_basis(polys, blocks=None):
         key=lambda td: (max(td[0]), sorted(td[0].items())),
     )
 
-    rows = []  # (lead, raw lead, monic term dict) per basis element
+    rows = []  # (lead, raw lead, primitive int term dict, lc) per basis element
     leads = []  # exponent tuples of the leads
     sugars = []
     total_terms = 0
@@ -301,10 +338,13 @@ def groebner_basis(polys, blocks=None):
             if k != i and k != j
         ):
             continue
+        # cross-multiplied S-pair: (lc_j/d) x^(lcm-li) g_i - (lc_i/d) x^(lcm-lj) g_j
+        (li, _, gi, ci), (lj, _, gj, cj) = rows[i], rows[j]
+        d = gcd(ci, cj)
         s, s_heap = {}, []
-        for (lead, _, g), coeff in ((rows[i], -1), (rows[j], 1)):
-            _sub_shifted(s, g, coeff, lcm - lead, s_heap)
-        h = _nf_dict(s, s_heap, rows, pk)
+        _sub_shifted(s, gi, -(cj // d), lcm - li, s_heap)
+        _sub_shifted(s, gj, ci // d, lcm - lj, s_heap)
+        h, _ = _nf_dict(s, s_heap, rows, pk)
         if h:
             queue_pairs(push(h, sugar))
 
@@ -316,12 +356,15 @@ def groebner_basis(polys, blocks=None):
         if not any((probe - k[1]) & guard == guard for k in kept):
             kept.append(row)
     # inter-reduce tails for the canonical reduced basis; no other lead
-    # divides a kept lead, so each keeps its lead and kept's order
+    # divides a kept lead, so each keeps its lead and kept's order, and is
+    # made monic once, here
     reduced = []
     for row in kept:
         t = dict(row[2])
         others = [k for k in kept if k is not row]
-        t = _nf_dict(t, _nf_heap(t), others, pk)
+        t, _ = _nf_dict(t, _nf_heap(t), others, pk)
+        lc = t[row[0]]
+        t = {o: coeff_div(c, lc) for o, c in t.items()}
         reduced.append(_polynomial(pk, t, names))
     return reduced
 
@@ -333,7 +376,12 @@ _LAST_ROWS = [None, -1, None, None]
 
 
 def normal_form(f, basis):
-    """Fully reduce f against a list of Polynomials (typically a GB)."""
+    """Fully reduce f against a list of Polynomials (typically a GB).
+
+    f is reduced with its denominators cleared by D, against the primitive
+    int rows of the basis; the remainder of scale * D * f is then divided by
+    scale * D, so the result is the exact normal form of f.
+    """
     if not f:
         return Polynomial.zero(f.n)
     key = tuple(basis)
@@ -344,8 +392,10 @@ def normal_form(f, basis):
     if pk is not memo[2]:
         memo[2:] = pk, [_row(pk, pk.pack_terms(p.terms, {})) for p in key if p]
     names = {}
-    t = pk.pack_terms(f.terms, names)
-    return _polynomial(pk, _nf_dict(t, _nf_heap(t), memo[3], pk), names)
+    t, den = _cleared(pk.pack_terms(f.terms, names))
+    t, scale = _nf_dict(t, _nf_heap(t), memo[3], pk)
+    den *= scale
+    return _polynomial(pk, {o: coeff_div(c, den) for o, c in t.items()}, names)
 
 
 def s_polynomial(f, g):

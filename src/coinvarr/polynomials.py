@@ -390,15 +390,31 @@ def diffop_apply(f, g):
 
     Each monomial c*x^a of f acts as c * d^a/dx^a.  The pairing is exact:
     x^a applied to x^b gives prod_i b_i!/(b_i-a_i)! * x^(b-a) when b >= a
-    componentwise and 0 otherwise.
+    componentwise and 0 otherwise.  Only those pairs are visited: g's terms
+    are indexed per variable by exponent, and x^a meets the intersection of
+    the sets {b : b_i >= a_i} over its variables.
     """
     if f.n != g.n:
         raise AmbientMismatch(f"cannot mix ambient n={f.n} with n={g.n}")
+    gterms = g.terms
+    # at_least[i][v] is the set of g's exponents b with b_i >= v, for v >= 1
+    at_least = [{} for _ in range(g.n)]
+    for b in gterms:
+        for index, bi in zip(at_least, b):
+            for v in range(1, bi + 1):
+                index.setdefault(v, set()).add(b)
+    none = frozenset()
     out = {}
     for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            if any(bi < ai for ai, bi in zip(a, b)):
-                continue
+        found = gterms
+        for index, ai in zip(at_least, a):
+            if ai:
+                at = index.get(ai, none)
+                found = at if found is gterms else found & at
+                if not found:
+                    break
+        for b in found:
+            cb = gterms[b]
             c = ca * cb
             for ai, bi in zip(a, b):
                 if ai:

@@ -153,8 +153,17 @@ def test_southwest_enumeration_matches_brute_force():
         assert set(listed) == brute
         essential = enumerate_southwest(n, essential_only=True)
         assert set(essential) == {A for A in brute if is_essential(A)}
-    with pytest.raises(ValueError):
-        enumerate_southwest(6)
+
+
+def test_southwest_enumeration_at_n6():
+    # the n = 6 sweep: (n+1)! distinct southwest arrangements, and the
+    # essential filter keeps exactly those with every column count positive
+    listed = enumerate_southwest(6)
+    assert len(listed) == len(set(listed)) == 5040
+    assert all(is_southwest(A) for A in listed)
+    essential = enumerate_southwest(6, essential_only=True)
+    assert len(essential) == len(set(essential)) == 3447
+    assert essential == [A for A in listed if is_essential(A)]
 
 
 def test_skip_arrangement_structure():

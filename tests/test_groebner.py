@@ -153,6 +153,78 @@ def test_heap_reduction_matches_whole_remainder_reference():
             assert normal_form(f, gb).terms == _ref_nf(f.terms, prepared, grevlex_key)
 
 
+def _random_rational(rng, n, max_deg, max_terms):
+    """A sparse polynomial with Fraction coefficients and a non-unit lead."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(n))
+        num = rng.choice((-9, -4, -3, -2, -1, 1, 2, 5, 6))
+        terms[exps] = Fraction(num, rng.randint(1, 6))
+    p = Polynomial(n, terms)
+    lc = Fraction(rng.choice((-6, -2, 3, 4)))
+    return p * Polynomial.constant(n, lc / p.leading()[1])
+
+
+def _assert_clean(terms):
+    # coeff_div's types: an int whenever the value is integral
+    for c in terms.values():
+        assert type(c) is int or c.denominator != 1, c
+
+
+def test_integer_kernel_matches_monic_fraction_reference():
+    # pseudo-reduction over the integers must give exactly what monic
+    # reduction over Q gives: rational inputs, negative and non-unit leads
+    rng = random.Random(2027)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        polys = [_random_rational(rng, n, 2, 3) for _ in range(rng.randint(1, 3))]
+        orders = [(grevlex_key, (n,)), (_lex_key, (1,) * n)]
+        if n > 1:
+            orders.append((elim_key(1), (1, n - 1)))
+        for key, blocks in orders:
+            gb = groebner_basis(polys, blocks=blocks)
+            assert [g.terms for g in gb] == _ref_groebner(polys, key)
+            for g in gb:
+                _assert_clean(g.terms)
+        gb = groebner_basis(polys)
+        prepared = [(g.leading()[0], g.terms) for g in gb]
+        for _ in range(4):
+            f = _random_rational(rng, n, 3, 6)
+            nf = normal_form(f, gb)
+            assert nf.terms == _ref_nf(f.terms, prepared, grevlex_key)
+            _assert_clean(nf.terms)
+            seventh = Polynomial.constant(n, Fraction(1, 7))
+            assert normal_form(f * seventh, gb) == nf * seventh
+
+
+def test_stored_rows_are_primitive_with_positive_leads(monkeypatch):
+    # every basis element and every reducer row is the primitive int
+    # multiple of its polynomial, its lead coefficient positive and recorded
+    real = groebner._row
+    rows = []
+
+    def checked(pk, t):
+        row = real(pk, t)
+        rows.append((pk, row))
+        return row
+
+    monkeypatch.setattr(groebner, "_row", checked)
+    groebner.clear_basis_cache()
+    rng = random.Random(3119)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        polys = [_random_rational(rng, n, 2, 3) for _ in range(rng.randint(2, 3))]
+        gb = groebner_basis(polys, blocks=(1, n - 1))
+        normal_form(_random_rational(rng, n, 3, 5), groebner_basis(polys))
+        normal_form(_random_rational(rng, n, 3, 5), gb)
+    assert len(rows) > 100
+    for pk, (lead, raw, t, lc) in rows:
+        assert all(type(c) is int for c in t.values())
+        assert math.gcd(*t.values()) == 1
+        assert lead == max(t) and raw == pk.raw(lead)
+        assert lc == t[lead] > 0
+
+
 def test_packed_monomials_follow_the_block_orders():
     # for grevlex, the colon elimination order and lex: the packed int
     # orders as the reference rank, unpacks to its tuple, adds under

@@ -1,6 +1,7 @@
 """Exact polynomial core: arithmetic, calculus, canonical text form."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -199,6 +200,39 @@ def test_diffop_apply_composes_random():
         g = _random_poly(rng, n, max_deg=2, max_terms=3)
         h = _random_poly(rng, n, max_deg=4, max_terms=4)
         assert diffop_apply(f, diffop_apply(g, h)) == diffop_apply(f * g, h)
+
+
+def _pairwise_diffop_apply(f, g):
+    """Reference: test every (f-term, g-term) pair for b >= a."""
+    out = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            if any(bi < ai for ai, bi in zip(a, b)):
+                continue
+            c = ca * cb
+            for ai, bi in zip(a, b):
+                if ai:
+                    c *= math.perm(bi, ai)
+            key = tuple(bi - ai for ai, bi in zip(a, b))
+            out[key] = out.get(key, 0) + c
+    return Polynomial(f.n, {e: c for e, c in out.items() if c})
+
+
+def test_diffop_apply_against_pairwise_reference():
+    # the divisibility index must visit exactly the pairs with b >= a:
+    # sparse and dense g, constants, zeros, f of higher degree than g
+    rng = random.Random(6113)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        f = _random_poly(rng, n, max_deg=rng.randint(0, 3), max_terms=6)
+        dense = rng.choice((3, 30))
+        g = _random_poly(rng, n, max_deg=rng.randint(0, 5), max_terms=dense)
+        assert diffop_apply(f, g) == _pairwise_diffop_apply(f, g)
+    for n in range(1, 5):
+        v = vandermonde(n)
+        for _ in range(10):
+            f = _random_poly(rng, n, max_deg=3, max_terms=8)
+            assert diffop_apply(f, v) == _pairwise_diffop_apply(f, v)
 
 
 def test_vandermonde_against_permutation_expansion():
