@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 
 from .polynomials import Polynomial, box_monomials
 
@@ -136,8 +137,12 @@ def staircase_monomials(skips, n):
 # -- linear forms ------------------------------------------------------------
 
 
+@cache
 def linear_form(pair, n):
-    """x_j for (0, j); x_i - x_j for (i, j) with i >= 1."""
+    """x_j for (0, j); x_i - x_j for (i, j) with i >= 1.
+
+    Built once per (pair, n) and shared: callers must not change its terms.
+    """
     i, j = pair
     if not 0 <= i < j <= n:
         raise ValueError(f"bad hyperplane pair {pair} for n={n}")

@@ -526,8 +526,9 @@ def run_suite(name, cfg):
             f"its --exhaustive limit is n = {suite.cap}\n"
         )
         top = allowed
-    # the Groebner basis cache and the classify memo live for one suite, not
-    # for the process: clear_caches empties both however the suite ends
+    # the Groebner basis cache, the classify memo and the Saito memos live
+    # for one suite, not for the process: clear_caches empties them all
+    # however the suite ends
     try:
         tasks = suite.plan(top)
         if cfg.seed is not None and len(tasks) > SAMPLE_CAP:

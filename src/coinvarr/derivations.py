@@ -5,11 +5,13 @@ of an arrangement consists of the fields tangent to every hyperplane:
 alpha | theta(alpha) for each defining form alpha.  Freeness is always
 certified through Saito's criterion against an explicit basis; the module
 itself is never materialized.  Membership is exact division of theta(alpha)
-by alpha.  Given membership, homogeneity and the degree sum, the determinant
-of an Arrangement's basis is a constant times the product of its distinct
-forms, which is nonzero at p = (1, 2, ..., n); so one evaluation at p
-decides it.  An explicit form list may repeat a form, so there the
-polynomial determinant is divided by the product instead.  The
+by alpha, decided once per suite for each distinct pair (theta, alpha); each
+column derivation and each image theta(x1 + ... + xn) is likewise built
+once per suite and shared.  Given membership, homogeneity and the degree
+sum, the determinant of an Arrangement's basis is a constant times the
+product of its distinct forms, which is nonzero at p = (1, 2, ..., n); so
+one evaluation at p decides it.  An explicit form list may repeat a form, so
+there the polynomial determinant is divided by the product instead.  The
 Solomon-Terao ideal of an arrangement is generated by the images
 theta(x1 + ... + xn) of a certified basis; each image is the sum of the
 coefficients of theta.  Both certified bases come from one column-product
@@ -164,12 +166,41 @@ def _forms(target):
     return forms, n
 
 
+# Saito certification meets the same inputs again and again: a southwest
+# task certifies A, its deletion and its restriction, and other tasks meet the
+# same columns and forms.  Each memo maps exact values (keys compare by
+# Derivation and Polynomial equality) to values nothing writes to, so one
+# object serves every caller.  Like the Groebner basis cache they live for one
+# suite: st_algebras.clear_caches empties them through clear_derivation_caches.
+_COLUMNS = {}  # (column rows, slots, n) -> column derivation
+_TANGENT = {}  # theta -> {alpha: whether alpha divides theta(alpha)}
+_IMAGES = {}  # theta -> theta(x1 + ... + xn)
+
+
+def clear_derivation_caches():
+    """Forget every memoised column derivation, tangency test and image."""
+    _COLUMNS.clear()
+    _TANGENT.clear()
+    _IMAGES.clear()
+
+
+def _tangent(theta, alpha):
+    """alpha | theta(alpha): theta is tangent to the hyperplane alpha = 0."""
+    known = _TANGENT.get(theta)
+    if known is None:
+        known = _TANGENT[theta] = {}
+    got = known.get(alpha)
+    if got is None:
+        got = known[alpha] = divides(alpha, theta.apply(alpha))
+    return got
+
+
 def is_derivation_of(theta, target):
     """True iff alpha divides theta(alpha) for every defining form."""
     forms, n = _forms(target)
     if theta.n != n:
         raise AmbientMismatch("derivation and target disagree on n")
-    return all(divides(alpha, theta.apply(alpha)) for alpha in forms)
+    return all(_tangent(theta, alpha) for alpha in forms)
 
 
 def saito_check(thetas, target):
@@ -203,7 +234,7 @@ def saito_check(thetas, target):
     if sum(theta.degree() for theta in thetas) != len(forms):
         return False
     for theta in thetas:
-        if not all(divides(alpha, theta.apply(alpha)) for alpha in forms):
+        if not all(_tangent(theta, alpha) for alpha in forms):
             return False
     if isinstance(target, Arrangement):
         p = range(1, n + 1)
@@ -219,12 +250,17 @@ def saito_check(thetas, target):
 
 def _column_derivation(A, j, slots):
     """Sum over k in slots of the product of the column-j forms of A with
-    their second index moved to k, times d/dx_k."""
-    col = [i for i, jj in A.pairs if jj == j]
-    coeffs = [Polynomial.zero(A.n)] * A.n
-    for k in slots:
-        coeffs[k - 1] = forms_product([(i, k) for i in col], A.n)
-    return Derivation(coeffs)
+    their second index moved to k, times d/dx_k; shared, so callers must not
+    change it."""
+    col = tuple(sorted(i for i, jj in A.pairs if jj == j))
+    key = (col, tuple(slots), A.n)
+    got = _COLUMNS.get(key)
+    if got is None:
+        coeffs = [Polynomial.zero(A.n)] * A.n
+        for k in slots:
+            coeffs[k - 1] = forms_product([(i, k) for i in col], A.n)
+        got = _COLUMNS[key] = Derivation(coeffs)
+    return got
 
 
 def southwest_basis(A):
@@ -260,10 +296,17 @@ def _eta(n):
     return Polynomial(n, dict.fromkeys(units, 1))
 
 
+def _image(theta):
+    """theta(x1 + ... + xn), the sum of theta's coefficients; shared."""
+    got = _IMAGES.get(theta)
+    if got is None:
+        got = _IMAGES[theta] = theta.apply(_eta(theta.n))
+    return got
+
+
 def skip_generators(skips, n):
     """The images theta(x1 + ... + xn) of the skip_basis derivations."""
-    eta = _eta(n)
-    return [theta.apply(eta) for theta in skip_basis(skips, n)]
+    return [_image(theta) for theta in skip_basis(skips, n)]
 
 
 def restrict_derivation(theta, p):
@@ -298,5 +341,4 @@ def st_ideal(target, basis):
     _, n = _forms(target)
     if not saito_check(basis, target):
         raise ValueError("supplied basis fails Saito certification")
-    eta = _eta(n)
-    return Ideal(n, [theta.apply(eta) for theta in basis])
+    return Ideal(n, [_image(theta) for theta in basis])

@@ -28,7 +28,12 @@ from .arrangements import (
     staircase,
     staircase_monomials,
 )
-from .derivations import skip_basis, southwest_basis, st_ideal
+from .derivations import (
+    clear_derivation_caches,
+    skip_basis,
+    southwest_basis,
+    st_ideal,
+)
 from .groebner import Ideal, clear_basis_cache, colon, ideal_equal
 from .polynomials import Polynomial, box_monomials, rank_of_elements
 from .symmetric import coinvariant_generators, steinberg_member
@@ -111,16 +116,18 @@ def q_integer_product(sizes):
 
 # classify(A) of an Arrangement with its certified basis, keyed by A.  A
 # southwest task classifies A, its deletion and its restriction, and other
-# tasks meet the same arrangements again.  Like the Groebner basis cache it
-# lives for one suite: cli.run_suite empties both through clear_caches.
+# tasks meet the same arrangements again.  Like the Groebner basis cache and
+# the Saito memos of derivations it lives for one suite: cli.run_suite
+# empties all of them through clear_caches.
 # Nothing writes to an STInstance after classify builds it, so one object
 # may serve every caller.
 _CLASSIFIED = {}
 
 
 def clear_caches():
-    """Forget every memoised classification and every cached reduced basis."""
+    """Forget every memoised classification, Saito input and reduced basis."""
     _CLASSIFIED.clear()
+    clear_derivation_caches()
     clear_basis_cache()
 
 

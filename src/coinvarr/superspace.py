@@ -107,7 +107,11 @@ class SuperElement:
 
     @classmethod
     def monomial(cls, mono, coeff=1):
-        return cls(mono.n, {mono.thetas: Polynomial.monomial(mono.n, mono.exps, coeff)})
+        if coeff == 1:  # mono.exps is already a checked exponent tuple
+            p = Polynomial._from_terms(mono.n, {mono.exps: 1})
+        else:
+            p = Polynomial.monomial(mono.n, mono.exps, coeff)
+        return cls(mono.n, {mono.thetas: p})
 
     @classmethod
     def from_polynomial(cls, p):

@@ -36,6 +36,7 @@ from coinvarr.arrangements import (
     staircase_monomials,
     subsets,
 )
+from coinvarr.cli import main
 from coinvarr.polynomials import Polynomial, vandermonde, variables
 
 # the worked n=5 example used throughout: x1, x2, x1-x2, x1-x3, x2-x3,
@@ -122,6 +123,29 @@ def test_linear_forms():
     assert linear_forms(braid_arrangement(2)) == [y1 - y2]
     assert linear_forms(full_arrangement(2)) == [y1, y2, y1 - y2]
     assert linear_forms(Arrangement(2, [])) == []
+
+
+def test_shared_linear_forms_survive_a_full_run(tmp_path):
+    # linear_form hands every caller one shared polynomial per (pair, n);
+    # after every suite has used them, each cached form still equals, hashes
+    # and leads like one built afresh, so no caller has changed one
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--n", "3", "--out", str(out)]) == 0
+    before = linear_form.cache_info()
+    assert before.currsize
+    keys = [
+        (pair, n)
+        for n in range(1, 11)
+        for pair in itertools.combinations(range(n + 1), 2)
+    ]
+    forms = [linear_form(*key) for key in keys]
+    # one hit per cached entry: every cached form is among those checked
+    assert linear_form.cache_info().hits - before.hits == before.currsize
+    for ((i, j), n), form in zip(keys, forms):
+        unit = [tuple(int(k == m) for k in range(1, n + 1)) for m in range(n + 1)]
+        fresh = Polynomial(n, {unit[j]: 1} if i == 0 else {unit[i]: 1, unit[j]: -1})
+        assert form == fresh and form is linear_form((i, j), n), (i, j, n)
+        assert hash(form) == hash(fresh) and form.leading() == fresh.leading()
 
 
 def test_southwest_predicate_and_example():

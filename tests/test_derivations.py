@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from coinvarr import derivations
 from coinvarr.arrangements import (
     Arrangement,
     braid_arrangement,
@@ -33,6 +34,7 @@ from coinvarr.derivations import (
     southwest_basis,
     st_ideal,
 )
+from coinvarr.cli import RunConfig, run_suite
 from coinvarr.groebner import Ideal, colon, ideal_equal, is_regular_sequence
 from coinvarr.polynomials import (
     AmbientMismatch,
@@ -42,6 +44,7 @@ from coinvarr.polynomials import (
     vandermonde,
     variables,
 )
+from coinvarr.st_algebras import clear_caches
 from coinvarr.symmetric import coinvariant_generators
 
 EXAMPLE5 = Arrangement(
@@ -429,17 +432,82 @@ def _skip_basis_literal(skips, n):
 
 
 def test_southwest_basis_matches_the_literal_column_products():
-    cases = [A for n in range(1, 5) for A in enumerate_southwest(n)] + [EXAMPLE5]
+    # once on cold memos and once on warm ones, where the column derivations
+    # come back as the very objects the first pass built
+    clear_caches()
+    cases = [A for n in range(1, 6) for A in enumerate_southwest(n)]
+    cold = {A: southwest_basis(A) for A in cases}
     for A in cases:
-        assert southwest_basis(A) == _southwest_basis_literal(A), A
+        literal = _southwest_basis_literal(A)
+        assert cold[A] == literal, A
+        warm = southwest_basis(A)
+        assert warm == literal, A
+        assert all(a is b for a, b in zip(warm, cold[A])), A
+    clear_caches()
 
 
 def test_skip_basis_matches_the_literal_staircase_formula():
     # a skipped slot is the column product truncated to its k = i term; a
     # full k = i..n sum there differs whenever a slot below n is skipped
-    for n in range(1, 6):
-        for skips in subsets(range(1, n + 1)):
-            assert skip_basis(skips, n) == _skip_basis_literal(skips, n), (n, skips)
+    clear_caches()
+    for _ in ("cold", "warm"):
+        for n in range(1, 6):
+            for skips in subsets(range(1, n + 1)):
+                assert skip_basis(skips, n) == _skip_basis_literal(skips, n), (n, skips)
+    clear_caches()
+
+
+def _one_coefficient_off(theta, k):
+    # theta with the leading coefficient of its slot-k polynomial doubled
+    c = theta.coeffs[k]
+    e, v = c.leading()
+    coeffs = list(theta.coeffs)
+    coeffs[k] = c + Polynomial.monomial(c.n, e, v)
+    assert coeffs[k] != c and coeffs[k].degree() == c.degree()
+    return Derivation(coeffs)
+
+
+def test_tangency_memo_keeps_near_identical_derivations_apart():
+    # each variant differs from a certified derivation in one coefficient and
+    # is no member (the plain division oracle says so); the memo must reject
+    # it both before and after the certified basis itself was accepted
+    clear_caches()
+    A = EXAMPLE5
+    basis = southwest_basis(A)
+    forms = linear_forms(A)
+    variants = []
+    for m, theta in enumerate(basis):
+        for k, c in enumerate(theta.coeffs):
+            if c:
+                bad = _one_coefficient_off(theta, k)
+                assert not all(divides(a, bad.apply(a)) for a in forms)
+                variants.append(basis[:m] + [bad] + basis[m + 1 :])
+    assert len(variants) == sum(1 for t in basis for c in t.coeffs if c)
+    for bad_basis in variants:
+        assert not saito_check(bad_basis, A)
+    assert saito_check(basis, A)
+    for bad_basis in variants:
+        assert not saito_check(bad_basis, A)
+        assert not saito_check(list(bad_basis), list(forms))
+    assert saito_check(basis, A)
+    clear_caches()
+
+
+def _derivation_memos():
+    return [derivations._COLUMNS, derivations._TANGENT, derivations._IMAGES]
+
+
+def test_clear_caches_and_run_suite_empty_the_saito_memos():
+    st_ideal(EXAMPLE5, southwest_basis(EXAMPLE5))
+    skip_generators({2}, 3)
+    assert all(_derivation_memos())
+    clear_caches()
+    assert not any(_derivation_memos())
+    for name in ("saito-southwest", "southwest-quotient", "skip-quotient"):
+        st_ideal(EXAMPLE5, southwest_basis(EXAMPLE5))
+        reports = run_suite(name, RunConfig(n=3))
+        assert reports and all(r["pass"] for r in reports)
+        assert not any(_derivation_memos()), name
 
 
 def test_restrict_derivation_fixtures():
