@@ -423,7 +423,7 @@ def clear_basis_cache():
 class Ideal:
     """An ideal of Q[x1..xn] held by generators, with cached reduced bases."""
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "gens", "_key")
 
     def __init__(self, n, gens):
         gens = tuple(g for g in gens)
@@ -432,9 +432,12 @@ class Ideal:
                 raise AmbientMismatch("generator ambient mismatch")
         self.n = n
         self.gens = gens
+        self._key = None
 
     def groebner(self):
-        key = (self.n, frozenset(g for g in self.gens if g))
+        key = self._key
+        if key is None:  # built on first use, once per Ideal
+            key = self._key = (self.n, frozenset(g for g in self.gens if g))
         got = _GB_CACHE.get(key)
         if got is None:
             got = groebner_basis(list(self.gens))

@@ -29,7 +29,7 @@ like the hash.
 It is also the one home of the kernels the other layers share: box
 enumeration, monomial text, and exact linear algebra (matrix_determinant,
 by Bareiss elimination on constant matrices, and the fraction-free
-rank_of_elements).
+echelon_rows, whose pivot count is rank_of_elements).
 """
 
 from __future__ import annotations
@@ -541,33 +541,46 @@ def _bareiss(m):
     return sign * m[-1][-1] if size else 1
 
 
-def rank_of_elements(elements):
-    """Rank over the rationals of the span of the given elements.
+def echelon_rows(elements):
+    """Pivot rows of a fraction-free echelon form of the span of elements.
 
     The elements are Polynomials, SuperElements or anything else with a
     terms dict from comparable monomial keys to rational coefficients.
-    Each row is scaled to integers by the lcm of its denominators and
-    reduced by fraction-free sparse elimination (row = a*row - b*pivot,
-    with a and b coprime); pivot rows are stored primitive.  Nonzero row
-    scaling leaves the span's rank unchanged, so the result is exact.
-    Columns are the monomial keys in their natural tuple order, renumbered
-    as ints so that lookups hash small keys.  Once every column holds a
-    pivot the remaining rows can only reduce to zero, so elimination stops
-    there.
+    Returns one primitive integer row {key: int} per pivot, in the order the
+    pivots were found; a row's pivot is its smallest key, and no two rows
+    share one, so the rows are independent and span the elements' span.
+
+    Each element's terms are read once: scaled to integers by the lcm of its
+    denominators, they are held as a row over column numbers in first-seen
+    order.  Once every key is known, each row is renumbered as it is taken
+    up, so that columns run in the keys' natural tuple order and lookups
+    hash small ints.  Rows are reduced by sparse elimination
+    (row = a*row - b*pivot, with a and b coprime), and a row that reaches a
+    free column is stored primitive as that column's pivot.  Nonzero row
+    scaling leaves the span unchanged, so the result is exact.  Once every
+    column holds a pivot the remaining rows can only reduce to zero, so
+    elimination stops there.
     """
-    elements = list(elements)
-    keys = sorted({key for elem in elements for key in elem.terms})
-    index = {key: col for col, key in enumerate(keys)}
-    pivots = {}
+    index = {}
+    number = index.setdefault  # a key's column number, in first-seen order
+    scaled = []
     for elem in elements:
-        if len(pivots) == len(keys):
-            break
         terms = elem.terms
         scale = lcm(*(c.denominator for c in terms.values()))
-        row = {
-            index[key]: c.numerator * (scale // c.denominator)
-            for key, c in terms.items()
-        }
+        scaled.append(
+            {
+                number(key, len(index)): c.numerator * (scale // c.denominator)
+                for key, c in terms.items()
+            }
+        )
+    keys = sorted(index)
+    order = [0] * len(keys)
+    for col, key in enumerate(keys):
+        order[index[key]] = col
+    scaled.reverse()  # popped in input order, each row freed once it is read
+    pivots = {}
+    while scaled and len(pivots) < len(keys):
+        row = {order[c]: v for c, v in scaled.pop().items()}
         while row:
             col = min(row)
             piv = pivots.get(col)
@@ -593,4 +606,10 @@ def rank_of_elements(elements):
                     row[c] = s
                 else:
                     del row[c]
-    return len(pivots)
+    return [{keys[c]: v for c, v in row.items()} for row in pivots.values()]
+
+
+def rank_of_elements(elements):
+    """Rank over the rationals of the span of the given elements: the number
+    of pivot rows echelon_rows finds."""
+    return len(echelon_rows(elements))

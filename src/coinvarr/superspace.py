@@ -7,11 +7,19 @@ of t-indices, so an element is a finite sum of p_J * t_J and is stored as
 the dict J -> nonzero Polynomial p_J; all coefficient arithmetic is
 Polynomial arithmetic, and _merge_sign is the one place the sign of t_a*t_b
 is computed.  Everything is bigraded by (polynomial degree, anticommuting
-degree).  The quotient by the ideal of positive-degree diagonal-symmetric
+degree).  The quotient by the ideal I of positive-degree diagonal-symmetric
 elements is studied through exact per-bidegree linear algebra: spanning
-rows for the ideal piece, ranks over the rationals (rank_of_elements, from
+rows for each ideal piece, ranks over the rationals (rank_of_elements, from
 the polynomial core), and the staircase monomial family as a candidate
 basis, certified in one pass over the bidegree grid.
+
+The rows of a piece are few.  I is generated by the power sums p_k and
+their total derivatives dp_k; with P the ideal of Q[x] that the p_k
+generate, I_(i, j) = P_i (x) Lambda^j + sum_k dp_k * Omega_(i-k+1, j-1).
+One echelon of each P_d gives its pivot rows and its standard monomials
+(those holding no pivot).  Any x^a minus its reduction onto the standard
+monomials lies in P, and P * Omega lies in I, so the pivot rows times each
+t_J together with dp_k * x^s * t_J' for standard x^s span exactly I_(i, j).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .arrangements import staircase_monomials, subsets
 from .polynomials import (
     AmbientMismatch,
     Polynomial,
+    echelon_rows,
     grevlex_key,
     monomial_factors,
     rank_of_elements,
@@ -204,18 +213,6 @@ def invariant_generators(n):
     return gens
 
 
-def super_monomials(n, i, j):
-    """All monomials of bidegree (i, j), deterministic order."""
-    if i < 0 or j < 0 or j > n:
-        return []
-    exps_list = sorted(complete(i, n).terms, key=grevlex_key)
-    out = []
-    for thetas in itertools.combinations(range(1, n + 1), j):
-        for exps in exps_list:
-            out.append(SuperMonomial(exps, thetas))
-    return out
-
-
 def dim_bidegree(n, i, j):
     """Dimension of the full bidegree-(i, j) piece of the tensor ring."""
     if i < 0 or j < 0 or j > n:
@@ -223,18 +220,65 @@ def dim_bidegree(n, i, j):
     return comb(n, j) * comb(i + n - 1, n - 1)
 
 
-def invariant_ideal_rows(n, i, j, gens):
-    """Spanning set of the bidegree-(i, j) piece of the ideal generated by
-    gens, which are invariant_generators(n).
+def commutative_echelons(n, gens, top):
+    """Echelon of each degree piece P_d, d <= top, of the ideal P of Q[x]
+    that the t-free generators in gens generate: a list indexed by d of pairs
+    (pivot rows as Polynomials, standard monomials).
 
-    Every ideal element of this bidegree is a combination of generator
-    times monomial products, so those products span the piece.
+    P_d is spanned by the products p * x^b of degree d; echelon_rows turns
+    them into one pivot row per dimension.  The standard monomials of
+    degree d are those that hold no pivot, grevlex-descending; every
+    monomial of degree d is congruent modulo P_d to a combination of them.
     """
-    rows = []
+    polys = [g.parts[()] for g in gens if g.bidegree()[1] == 0]
+    out = []
+    for d in range(top + 1):
+        products = [
+            p * Polynomial._from_terms(n, {b: 1})
+            for p in polys
+            for b in complete(d - p.degree(), n).terms
+        ]
+        pivots = echelon_rows(products)
+        leads = {min(row) for row in pivots}
+        standard = sorted(
+            (e for e in complete(d, n).terms if e not in leads), key=grevlex_key
+        )
+        out.append(([Polynomial._from_terms(n, row) for row in pivots], standard))
+    return out
+
+
+def invariant_ideal_rows(n, i, j, gens, echelons):
+    """Spanning set of the bidegree-(i, j) piece I_(i, j) of the ideal
+    generated by gens = invariant_generators(n), of about its dimension;
+    echelons = commutative_echelons(n, gens, top) for some top >= i.
+
+    With P the ideal of Q[x] generated by the power sums p_k,
+    I_(i, j) = P_i (x) Lambda^j + sum_k dp_k * Omega_(i-k+1, j-1), where
+    Omega is the whole ring.  The rows are (a) every pivot row of P_i times
+    every t_J, first, and (b) dp_k * x^s * t_J' for every standard monomial
+    x^s of degree i-k+1.  The span is unchanged: x^a minus its reduction
+    onto the standard monomials lies in P, and P * Omega lies in the ideal,
+    so the products dp_k * x^a * t_J' that (b) leaves out are combinations
+    of (b) rows and rows of P_i (x) Lambda^j.  The (a) rows have distinct
+    pivots (pivot monomial, J) that are each row's smallest key, so they
+    enter the elimination of rank_of_elements without any reduction.
+    """
+    thetas = range(1, n + 1)
+    rows = [
+        SuperElement(n, {J: q})
+        for J in itertools.combinations(thetas, j)
+        for q in echelons[i][0]
+    ]
+    if j < 1:
+        return rows
     for g in gens:
         gi, gj = g.bidegree()
-        for m in super_monomials(n, i - gi, j - gj):
-            rows.append(g * SuperElement.monomial(m))
+        if gj != 1 or gi > i:
+            continue
+        standard = echelons[i - gi][1]
+        for J in itertools.combinations(thetas, j - 1):
+            for s in standard:
+                rows.append(g * SuperElement.monomial(SuperMonomial(s, J)))
     return rows
 
 
@@ -271,7 +315,8 @@ def sr_basis_certificate(n):
     """Quotient dimensions per bidegree, and whether the decorated staircase
     monomials form a quotient basis: returns (table, ok).
 
-    One pass over the bidegree grid builds each ideal piece once.  Its rank
+    The echelons of the commutative pieces P_d are built once per n; one
+    pass over the bidegree grid then builds each ideal piece once.  Its rank
     gives the table entry dim_bidegree - rank.  The candidate monomials of
     the bidegree must match that count, and stacked on the piece they must
     span the whole bidegree; with the matching count that makes them
@@ -283,13 +328,15 @@ def sr_basis_certificate(n):
     buckets = {}
     for m in mons:
         buckets.setdefault(m.bidegree(), []).append(m)
+    top = n * (n - 1) // 2
     gens = invariant_generators(n)
+    echelons = commutative_echelons(n, gens, top)
     table = {}
     ok = True
-    for i in range(n * (n - 1) // 2 + 1):
+    for i in range(top + 1):
         for j in range(n + 1):
             dim = dim_bidegree(n, i, j)
-            rows = invariant_ideal_rows(n, i, j, gens)
+            rows = invariant_ideal_rows(n, i, j, gens, echelons)
             table[(i, j)] = dim - rank_of_elements(rows)
             candidates = buckets.get((i, j), [])
             if len(candidates) != table[(i, j)]:

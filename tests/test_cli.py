@@ -233,9 +233,9 @@ def test_super_basis_task_ranks_each_piece_once(monkeypatch):
         calls.append(len(elements))
         return rank_of_elements(elements)
 
-    def counted_rows(n, i, j, gens):
+    def counted_rows(n, i, j, gens, echelons):
         built.append((i, j))
-        return invariant_ideal_rows(n, i, j, gens)
+        return invariant_ideal_rows(n, i, j, gens, echelons)
 
     monkeypatch.setattr(superspace, "rank_of_elements", counted)
     monkeypatch.setattr(superspace, "invariant_ideal_rows", counted_rows)

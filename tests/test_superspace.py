@@ -1,6 +1,7 @@
 """Supercommutative ring arithmetic and the quotient basis machinery."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,20 +9,56 @@ import pytest
 
 from coinvarr import superspace
 from coinvarr.groebner import Ideal
-from coinvarr.polynomials import AmbientMismatch, Polynomial, rank_of_elements
+from coinvarr.polynomials import (
+    AmbientMismatch,
+    Polynomial,
+    echelon_rows,
+    grevlex_key,
+    rank_of_elements,
+)
 from coinvarr.superspace import (
     SuperElement,
     SuperMonomial,
     artin_monomials,
+    commutative_echelons,
     dim_bidegree,
     euler_d,
     fubini,
     invariant_generators,
     invariant_ideal_rows,
     sr_basis_certificate,
-    super_monomials,
 )
-from coinvarr.symmetric import coinvariant_generators, power_sum
+from coinvarr.symmetric import coinvariant_generators, complete, power_sum
+
+
+def super_monomials(n, i, j):
+    """All monomials of bidegree (i, j), deterministic order."""
+    if i < 0 or j < 0 or j > n:
+        return []
+    exps_list = sorted(complete(i, n).terms, key=grevlex_key)
+    out = []
+    for thetas in itertools.combinations(range(1, n + 1), j):
+        for exps in exps_list:
+            out.append(SuperMonomial(exps, thetas))
+    return out
+
+
+def all_products_rows(n, i, j, gens):
+    """Oracle spanning set of the bidegree-(i, j) ideal piece: every
+    generator times every monomial of the complementary bidegree."""
+    rows = []
+    for g in gens:
+        gi, gj = g.bidegree()
+        for m in super_monomials(n, i - gi, j - gj):
+            rows.append(g * SuperElement.monomial(m))
+    return rows
+
+
+def _piece(n, i, j):
+    """invariant_ideal_rows(n, i, j) with the generators and echelons built
+    here, as sr_basis_certificate builds them once per n."""
+    gens = invariant_generators(n)
+    return invariant_ideal_rows(n, i, j, gens, commutative_echelons(n, gens, i))
 
 
 def _x(n, i):
@@ -111,7 +148,7 @@ def test_parts_are_polynomials_with_exact_coefficients():
     with pytest.raises(AmbientMismatch):
         SuperElement(2, {(): Polynomial.one(3)})
     assert SuperElement(2, {(1,): Polynomial.zero(2)}) == SuperElement.zero(2)
-    rows = invariant_ideal_rows(3, 2, 1, invariant_generators(3))
+    rows = _piece(3, 2, 1)
     assert rows
     for row in rows:
         assert all(type(c) is int for c in row.terms.values())
@@ -236,12 +273,34 @@ def _dense_rank(elements):
     return rank
 
 
+class _Row:
+    """A bare terms dict as an element, to feed echelon rows back in."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+def _assert_rank(elems):
+    # rank_of_elements and echelon_rows against the dense oracle: the pivot
+    # rows are primitive integer rows with distinct pivots (smallest keys)
+    # that span the elements' span
+    rank = _dense_rank(elems)
+    pivots = echelon_rows(elems)
+    assert rank_of_elements(elems) == len(pivots) == rank
+    leads = [min(row) for row in pivots]
+    assert len(set(leads)) == len(leads)
+    for row in pivots:
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+    assert _dense_rank(elems + [_Row(row) for row in pivots]) == rank
+
+
 def test_rank_matches_dense_oracle():
     rng = random.Random(41)
     for _ in range(30):
         n = rng.randint(1, 3)
         elems = [_random_element(rng, n, 2, 3) for _ in range(rng.randint(1, 6))]
-        assert rank_of_elements(elems) == _dense_rank(elems)
+        _assert_rank(elems)
     # degenerate inputs
     z = SuperElement.zero(2)
     e = SuperElement.one(2)
@@ -253,6 +312,9 @@ def test_rank_matches_dense_oracle():
     assert rank_of_elements([z, q, z, q, q]) == 1
     assert rank_of_elements([q, q * big, q * Fraction(-1, 9)]) == 1
     assert rank_of_elements([q * big, _t(2, 2), q]) == 2
+    for elems in ([z, z], [e, e, 2 * e], [z, q, z, q, q], [q * big, _t(2, 2), q]):
+        _assert_rank(elems)
+    assert echelon_rows([]) == []
 
 
 def _random_fraction(rng):
@@ -274,7 +336,7 @@ def test_rank_matches_dense_oracle_on_rational_rows():
             a, b = rng.choice(elems), rng.choice(elems)
             elems.append(a * _random_fraction(rng) + b * _random_fraction(rng))
         rng.shuffle(elems)
-        assert rank_of_elements(elems) == _dense_rank(elems)
+        _assert_rank(elems)
 
 
 def test_rank_matches_dense_oracle_on_polynomials():
@@ -290,7 +352,7 @@ def test_rank_matches_dense_oracle_on_polynomials():
                 exps = tuple(rng.randint(0, 3) for _ in range(n))
                 terms[exps] = _random_fraction(rng)
             rows.append(ideal.normal_form(Polynomial(n, terms)))
-        assert rank_of_elements(rows) == _dense_rank(rows)
+        _assert_rank(rows)
     x1, x2 = Polynomial.variable(n, 1), Polynomial.variable(n, 2)
     f = x1 * Fraction(2, 3) - x2 * Fraction(5, 7)
     assert rank_of_elements([f, f * Fraction(-21, 4)]) == 1
@@ -301,20 +363,68 @@ def test_ideal_pieces_cross_checked_against_dense_rank():
     for n in (2, 3):
         for i in range(n * (n - 1) // 2 + 1):
             for j in range(n + 1):
-                rows = invariant_ideal_rows(n, i, j, invariant_generators(n))
+                rows = _piece(n, i, j)
                 assert rank_of_elements(rows) == _dense_rank(rows), (n, i, j)
+
+
+def test_rows_span_the_all_products_piece():
+    # the basis-sized rows span exactly what every generator x monomial
+    # product spans: every bidegree at n <= 3, the largest n = 4 piece
+    # (6, 2), and (6, 3) and (5, 2) of the next size
+    cases = [
+        (n, i, j)
+        for n in (1, 2, 3)
+        for i in range(n * (n - 1) // 2 + 1)
+        for j in range(n + 1)
+    ]
+    cases += [(4, 6, 2), (4, 6, 3), (4, 5, 2)]
+    for n, i, j in cases:
+        new = _piece(n, i, j)
+        old = all_products_rows(n, i, j, invariant_generators(n))
+        rank = rank_of_elements(new)
+        assert rank == rank_of_elements(old) == rank_of_elements(new + old), (n, i, j)
+
+
+def test_piece_rows_stay_basis_sized():
+    # at n = 4 the pieces take 4206 rows in all, against 10551 generator x
+    # monomial products; a return to all products fails here
+    n = 4
+    top = n * (n - 1) // 2
+    gens = invariant_generators(n)
+    echelons = commutative_echelons(n, gens, top)
+    sizes = [
+        len(invariant_ideal_rows(n, i, j, gens, echelons))
+        for i in range(top + 1)
+        for j in range(n + 1)
+    ]
+    assert sum(sizes) == 4206
+
+
+def test_commutative_echelons_split_each_degree():
+    # pivots and standard monomials partition the monomials of each degree,
+    # and the standard ones count the coinvariant Hilbert series
+    # (Mahonian numbers: [3]_q! = 1 + 2q + 2q^2 + q^3 at n = 3)
+    n = 3
+    gens = invariant_generators(n)
+    echelons = commutative_echelons(n, gens, 4)
+    for d, (pivots, standard) in enumerate(echelons):
+        monos = set(complete(d, n).terms)
+        leads = {min(p.terms) for p in pivots}
+        assert len(leads) == len(pivots)
+        assert leads | set(standard) == monos and not leads & set(standard)
+    assert [len(standard) for _, standard in echelons] == [1, 2, 2, 1, 0]
 
 
 def test_ideal_piece_fixtures():
     # n = 1: the ideal swallows everything in positive degree
-    rows = invariant_ideal_rows(1, 1, 0, invariant_generators(1))
+    rows = _piece(1, 1, 0)
     assert rank_of_elements(rows) == dim_bidegree(1, 1, 0) == 1
     # n = 2, bidegree (0,1): the single row t1+t2, codimension 1
-    rows = invariant_ideal_rows(2, 0, 1, invariant_generators(2))
+    rows = _piece(2, 0, 1)
     assert rank_of_elements(rows) == 1
     assert dim_bidegree(2, 0, 1) - 1 == 1
     # n = 3, bidegree (0,2): codimension 1
-    rows = invariant_ideal_rows(3, 0, 2, invariant_generators(3))
+    rows = _piece(3, 0, 2)
     assert dim_bidegree(3, 0, 2) - rank_of_elements(rows) == 1
 
 
@@ -322,7 +432,7 @@ def test_ideal_pieces_are_symmetric_group_stable():
     for n in (2, 3):
         for i in range(3):
             for j in range(n + 1):
-                rows = invariant_ideal_rows(n, i, j, invariant_generators(n))
+                rows = _piece(n, i, j)
                 base = rank_of_elements(rows)
                 for w in itertools.permutations(range(1, n + 1)):
                     acted = [sn_act(w, r) for r in rows]
@@ -407,7 +517,7 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
     good = artin_monomials(n)
     # at (2, 0) the right number of candidates can still be dependent
     # modulo the ideal piece; find such a set by brute force
-    rows = invariant_ideal_rows(n, 2, 0, invariant_generators(n))
+    rows = _piece(n, 2, 0)
     dim = dim_bidegree(n, 2, 0)
     dependent = next(
         list(combo)
@@ -426,7 +536,7 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
 def test_stacked_rank_check_has_teeth():
     # a candidate living inside the ideal fails the stacking test
     n = 2
-    rows = invariant_ideal_rows(n, 0, 1, invariant_generators(n))
+    rows = _piece(n, 0, 1)
     base = rank_of_elements(rows)
     inside = _t(n, 1) + _t(n, 2)
     assert rank_of_elements(rows + [inside]) == base
