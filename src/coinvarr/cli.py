@@ -17,7 +17,6 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .arrangements import (
     Arrangement,
@@ -52,7 +51,6 @@ from .groebner import (
     colon,
     ideal_equal,
     is_regular_sequence,
-    term_cap,
 )
 from .polynomials import Polynomial
 from .st_algebras import (
@@ -545,6 +543,9 @@ def run_suite(name, cfg):
         # a pool may fork all its workers at the first submit
         workers = min(cfg.workers, len(tasks))
         if workers > 1:
+            # imported here: loading multiprocessing slows every start-up
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_execute, tasks, chunksize=8))
         else:
@@ -652,7 +653,6 @@ def main(argv=None):
         if args.command == "show":
             _show_arrangement(args.text, sys.stdout)
             return 0
-        term_cap()  # an invalid Groebner term cap fails before any suite runs
         cfg = RunConfig(
             n=args.n,
             workers=args.workers,

@@ -95,18 +95,17 @@ class Derivation:
         return out
 
     def degree(self):
-        """Common degree of the nonzero coefficients, -1 when zero."""
-        degs = {c.degree() for c in self.coeffs if c}
+        """Common degree of every term of every coefficient, -1 when zero.
+
+        Raises ValueError unless the derivation is homogeneous: every
+        coefficient homogeneous, and all of one degree.
+        """
+        degs = {sum(e) for c in self.coeffs for e in c.terms}
         if not degs:
             return -1
         if len(degs) > 1:
             raise ValueError("derivation is not homogeneous")
         return degs.pop()
-
-    def is_homogeneous(self):
-        return all(c.is_homogeneous() for c in self.coeffs) and (
-            len({c.degree() for c in self.coeffs if c}) <= 1
-        )
 
     def __add__(self, other):
         if not isinstance(other, Derivation):
@@ -227,25 +226,26 @@ def saito_check(thetas, target):
     for theta in thetas:
         if theta.n != n:
             raise AmbientMismatch("derivation and target disagree on n")
-        if not theta.is_homogeneous():
-            raise ValueError("Saito certification needs homogeneous derivations")
-    if not all(thetas):
+    degrees = [theta.degree() for theta in thetas]  # ValueError unless homogeneous
+    if -1 in degrees:  # a zero derivation
         return False
-    if sum(theta.degree() for theta in thetas) != len(forms):
+    if sum(degrees) != len(forms):
         return False
     for theta in thetas:
         if not all(_tangent(theta, alpha) for alpha in forms):
             return False
     if isinstance(target, Arrangement):
         p = range(1, n + 1)
-        rows = [
-            [Polynomial.constant(0, c.evaluate(p)) for c in theta.coeffs]
-            for theta in thetas
-        ]
+        rows = [[_constant(c.evaluate(p)) for c in theta.coeffs] for theta in thetas]
         return bool(matrix_determinant(rows, 0))
     det = matrix_determinant([theta.coeffs for theta in thetas], n)
     quotient = exact_divide(det, math.prod(forms, start=Polynomial.one(n)))
     return quotient is not None and quotient.degree() == 0
+
+
+def _constant(c):
+    """The 0-variable Polynomial of the exact value c, unchecked."""
+    return Polynomial._from_terms(0, {(): c} if c else {})
 
 
 def _column_derivation(A, j, slots):

@@ -31,15 +31,10 @@ lc/gcd(c, lc) rather than the row divided by lc, so no Fraction arises in
 the loop.  Only the reduced basis, made monic once at the end, and a normal
 form, divided by the accumulated scale, go back to Fractions.  Reducers
 read a row's term dict in place and write only to the remainder they own.
-
-The environment variable COINVARR_GB_TERM_CAP, when set, bounds the total
-number of stored terms across a basis-in-progress; exceeding it raises
-GroebnerResourceError instead of exhausting memory.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -51,23 +46,6 @@ from .polynomials import (
     coeff_div,
     exact_divide,
 )
-
-ENV_TERM_CAP = "COINVARR_GB_TERM_CAP"
-
-
-class GroebnerResourceError(RuntimeError):
-    """Basis computation exceeded the configured term cap."""
-
-
-def term_cap():
-    """COINVARR_GB_TERM_CAP as a positive int, None when unset; else ValueError."""
-    raw = os.environ.get(ENV_TERM_CAP)
-    if not raw:
-        return None
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"{ENV_TERM_CAP} must be a positive integer, got {raw!r}")
-    return int(raw)
-
 
 # -- packed monomials ---------------------------------------------------------
 
@@ -265,7 +243,6 @@ def groebner_basis(polys, blocks=None):
     grevlex inside each block; None is (n,), grevlex.  Returns a canonical
     list of monic Polynomials sorted by leading monomial, the smallest first.
     """
-    cap = term_cap()
     nonzero = [p for p in polys if p]
     if not nonzero:
         return []
@@ -290,19 +267,12 @@ def groebner_basis(polys, blocks=None):
     rows = []  # (lead, raw lead, primitive int term dict, lc) per basis element
     leads = []  # exponent tuples of the leads
     sugars = []
-    total_terms = 0
 
     def push(t, sugar):
-        nonlocal total_terms
         row = _row(pk, t)
         rows.append(row)
         leads.append(pk.unpack(row[0]))
         sugars.append(sugar)
-        total_terms += len(t)
-        if cap is not None and total_terms > cap:
-            raise GroebnerResourceError(
-                f"basis grew past {cap} stored terms ({ENV_TERM_CAP})"
-            )
         return len(rows) - 1
 
     heap = []

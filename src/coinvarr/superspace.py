@@ -115,11 +115,9 @@ class SuperElement:
         return cls.from_polynomial(Polynomial.one(n))
 
     @classmethod
-    def monomial(cls, mono, coeff=1):
-        if coeff == 1:  # mono.exps is already a checked exponent tuple
-            p = Polynomial._from_terms(mono.n, {mono.exps: 1})
-        else:
-            p = Polynomial.monomial(mono.n, mono.exps, coeff)
+    def monomial(cls, mono):
+        # mono.exps is already a checked exponent tuple
+        p = Polynomial._from_terms(mono.n, {mono.exps: 1})
         return cls(mono.n, {mono.thetas: p})
 
     @classmethod
@@ -323,6 +321,10 @@ def sr_basis_certificate(n):
     independent modulo the ideal.  The candidates go first, so that the
     elimination can stop once every column holds a pivot.  The grand total
     must match the ordered-set-partition count.
+
+    The grid stops at x-degree top = C(n, 2), and the quotient vanishes
+    above it: P has no standard monomial of degree top + 1, so P holds every
+    monomial of x-degree above top, and P * Omega lies in the ideal.
     """
     mons = artin_monomials(n)
     buckets = {}
@@ -330,9 +332,9 @@ def sr_basis_certificate(n):
         buckets.setdefault(m.bidegree(), []).append(m)
     top = n * (n - 1) // 2
     gens = invariant_generators(n)
-    echelons = commutative_echelons(n, gens, top)
+    echelons = commutative_echelons(n, gens, top + 1)
     table = {}
-    ok = True
+    ok = not echelons[top + 1][1]
     for i in range(top + 1):
         for j in range(n + 1):
             dim = dim_bidegree(n, i, j)

@@ -8,8 +8,10 @@ empty subset gives 0.
 Membership in the ideal generated by the positive-degree symmetric invariants
 is decided by the classical differential-operator criterion: f lies in the
 ideal iff f, acting as a constant-coefficient differential operator, kills
-the Vandermonde determinant.  That test is exact and needs no Groebner basis;
-the Groebner route is kept as an independent cross-check in the test suite.
+the Vandermonde determinant.  That test is exact and needs no Groebner basis.
+Groebner membership is the independent cross-check, run beside it by
+st_algebras.cospan_check and by the steinberg-agreement rows of the
+symmetric-toolkit suite.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,7 @@ from coinvarr.cli import (
     make_report,
     run_suite,
 )
-from coinvarr.groebner import GroebnerResourceError, Ideal
+from coinvarr.groebner import Ideal
 from coinvarr.polynomials import Polynomial
 from coinvarr.st_algebras import classify
 from coinvarr.superspace import invariant_ideal_rows, rank_of_elements
@@ -175,13 +180,28 @@ def test_pool_is_no_larger_than_the_task_list(monkeypatch):
             return map(fn, items)
 
     serial = run_suite("trichotomy", RunConfig(n=2))
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # trichotomy plans 4 tasks at n = 2: empty, line, full at n = 1 and 2
     assert run_suite("trichotomy", RunConfig(n=2, workers=64)) == serial
     assert sizes == [4]
     # colon-generators plans a single task at n = 1
     assert run_suite("colon-generators", RunConfig(n=1, workers=64))
     assert sizes == [4]
+
+
+def test_import_loads_no_process_pool():
+    # only --workers > 1 needs multiprocessing, so start-up does not load it
+    src = str(Path(cli.__file__).parents[1])
+    probe = "import sys, coinvarr.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_n_caps_symmetric_toolkit():
@@ -250,7 +270,7 @@ def test_task_exception_becomes_error_row(monkeypatch, tmp_path):
 
     def flaky(n, instance, cfg):
         if instance == "line":
-            raise GroebnerResourceError("term cap exceeded")
+            raise MemoryError
         return original(n, instance, cfg)
 
     monkeypatch.setattr(SUITES["trichotomy"], "run", flaky)
@@ -259,7 +279,7 @@ def test_task_exception_becomes_error_row(monkeypatch, tmp_path):
     data = json.loads(out.read_text())
     errors = [r for r in data if r["check"] == "error"]
     assert errors == [
-        make_report("error", 2, "fixture:line", "ok", "GroebnerResourceError")
+        make_report("error", 2, "fixture:line", "ok", "MemoryError")
     ]
     others = [r for r in data if r["check"] != "error"]
     assert {r["instance"] for r in others} == {"fixture:empty", "fixture:full"}
@@ -294,22 +314,6 @@ def test_clamped_n_is_reported_on_stderr(capsys, tmp_path):
     assert run("--exhaustive", "--n", "9") == (
         exhaustive,
         [f"coinvarr: staircase sweeps n <= 6, not --n 9; {limit}"],
-    )
-
-
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_invalid_term_cap_exits_2_before_any_suite(monkeypatch, capsys, raw):
-    def no_run(name, cfg):
-        raise AssertionError("a suite ran with an invalid term cap")
-
-    monkeypatch.setattr(cli, "run_suite", no_run)
-    monkeypatch.setenv(groebner.ENV_TERM_CAP, raw)
-    assert main(["verify", "colon-generators", "--n", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "coinvarr: error: COINVARR_GB_TERM_CAP must be a positive integer, "
-        f"got {raw!r}\n"
     )
 
 

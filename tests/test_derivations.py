@@ -154,10 +154,12 @@ def test_degree_and_homogeneity():
     assert _partial(n, 2).degree() == 0
     assert Derivation.zero(n).degree() == -1
     x1, x2, x3 = variables(n)
+    # coefficients of unequal degrees, and one inhomogeneous coefficient
     mixed = Derivation([x1, Polynomial.one(n), Polynomial.zero(n)])
-    assert not mixed.is_homogeneous()
-    with pytest.raises(ValueError):
-        mixed.degree()
+    lopsided = Derivation([x1 + Polynomial.one(n), Polynomial.zero(n), x2])
+    for theta in (mixed, lopsided):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            theta.degree()
 
 
 def test_is_derivation_of_fixtures():

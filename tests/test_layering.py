@@ -16,6 +16,7 @@ UNREFERENCED = {
     "is_derivation_of": "membership in D(A), the reference for restrict_derivation",
     "s_polynomial": "Buchberger's criterion: S-pairs of a basis reduce to zero",
     "colon_descent_check": "colon descent between nested arrangements, at n <= 3",
+    "Polynomial.parse": "the round-trip partner of text(), which tests read back",
 }
 
 # module -> the coinvarr modules it may import; None means any
@@ -79,38 +80,65 @@ def test_no_private_name_crosses_a_module():
             assert not private, (path.stem, module, private)
 
 
+def _names(tree):
+    """Every name that tree reads as a Name or an Attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def test_every_public_name_has_a_caller():
     # a use is a Name or Attribute node outside the name's own definition;
-    # imports and strings such as __all__ entries do not count
-    public = set()
+    # imports and strings such as __all__ entries do not count.  A public
+    # method, listed as Class.method, counts as used when any package code
+    # reads an attribute of its name, whatever the object.
+    public = {}  # listed name -> the name a caller reads
     used = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             own = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own[0] != "_":
-                public.add(own)
-            names = set()
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-            used |= names - {own}
-    assert sorted(public - used - set(UNREFERENCED)) == []
-    assert set(UNREFERENCED) <= public - used
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                used |= _names(top)
+                continue
+            if own[0] != "_":
+                public[own] = own
+            if isinstance(top, ast.FunctionDef):
+                used |= _names(top) - {own}
+                continue
+            for member in top.body:
+                name = getattr(member, "name", None)
+                if isinstance(member, ast.FunctionDef) and name[0] != "_":
+                    public[f"{own}.{name}"] = name
+                used |= _names(member) - {name, own}
+            for node in top.bases + top.decorator_list:
+                used |= _names(node)
+    unreferenced = {listed for listed, name in public.items() if name not in used}
+    assert sorted(unreferenced - set(UNREFERENCED)) == []
+    assert set(UNREFERENCED) <= unreferenced
+
+
+def _top_level_imports(path):
+    """The top-level package of every module that path imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add((node.module or "").split(".")[0])
+    return out
+
+
+def test_no_module_imports_os():
+    # a run's whole configuration is its command line, not the environment
+    users = {p.stem for p in SRC.glob("*.py") if "os" in _top_level_imports(p)}
+    assert users == set()
 
 
 def test_only_groebner_imports_heapq():
     # groebner's normal form is the package's one heap-ordered reducer
-    users = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == "heapq" for m in modules):
-                users.add(path.stem)
+    users = {p.stem for p in SRC.glob("*.py") if "heapq" in _top_level_imports(p)}
     assert users == {"groebner"}

@@ -101,7 +101,7 @@ def _random_element(rng, n, max_deg=3, terms=4, coeff=lambda rng: rng.randint(-3
             sorted(i for i in range(1, n + 1) if rng.random() < 0.4)
         )
         mono = SuperMonomial(tuple(exps), thetas)
-        out = out + SuperElement.monomial(mono, coeff(rng))
+        out = out + SuperElement.monomial(mono) * coeff(rng)
     return out
 
 
@@ -112,7 +112,7 @@ def _random_bihomogeneous(rng, n):
     out = SuperElement.zero(n)
     for m in mons:
         if rng.random() < 0.5:
-            out = out + SuperElement.monomial(m, rng.randint(-2, 2))
+            out = out + SuperElement.monomial(m) * rng.randint(-2, 2)
     return out, i, j
 
 
@@ -144,7 +144,7 @@ def test_multiply_sign_fixtures():
 def test_parts_are_polynomials_with_exact_coefficients():
     mono = SuperMonomial((1, 0), (2,))
     with pytest.raises(TypeError):
-        SuperElement.monomial(mono, 0.5)
+        SuperElement.monomial(mono) * 0.5
     with pytest.raises(AmbientMismatch):
         SuperElement(2, {(): Polynomial.one(3)})
     assert SuperElement(2, {(1,): Polynomial.zero(2)}) == SuperElement.zero(2)
@@ -530,6 +530,26 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
     assert sr_basis_certificate(n) == (table, False)
     # a missing candidate fails too; the table never depends on the candidates
     monkeypatch.setattr(superspace, "artin_monomials", lambda k: good[1:])
+    assert sr_basis_certificate(n) == (table, False)
+
+
+def test_sr_basis_certificate_checks_vanishing_above_top(monkeypatch):
+    # the grid stops at x-degree C(n, 2); the certificate also needs P to
+    # swallow degree C(n, 2) + 1, so one standard monomial left there fails it
+    n = 3
+    top = 3
+    table, ok = sr_basis_certificate(n)
+    assert ok and max(i for i, _ in table) == top
+    real = superspace.commutative_echelons
+
+    def leaky(n, gens, upto):
+        echelons = real(n, gens, upto)
+        pivots, standard = echelons[top + 1]
+        assert upto == top + 1 and not standard
+        echelons[top + 1] = (pivots[1:], [min(pivots[0].terms)])
+        return echelons
+
+    monkeypatch.setattr(superspace, "commutative_echelons", leaky)
     assert sr_basis_certificate(n) == (table, False)
 
 
