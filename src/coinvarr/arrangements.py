@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
 
-from .polynomials import Polynomial, box_monomials
+from .polynomials import Polynomial, box_monomials, suite_cache
 
 
 class Arrangement:
@@ -137,12 +136,9 @@ def staircase_monomials(skips, n):
 # -- linear forms ------------------------------------------------------------
 
 
-@cache
+@suite_cache
 def linear_form(pair, n):
-    """x_j for (0, j); x_i - x_j for (i, j) with i >= 1.
-
-    Built once per (pair, n) and shared: callers must not change its terms.
-    """
+    """x_j for (0, j); x_i - x_j for (i, j) with i >= 1."""
     i, j = pair
     if not 0 <= i < j <= n:
         raise ValueError(f"bad hyperplane pair {pair} for n={n}")

@@ -52,10 +52,9 @@ from .groebner import (
     ideal_equal,
     is_regular_sequence,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, clear_suite_caches
 from .st_algebras import (
     classify,
-    clear_caches,
     cospan_check,
     exact_sequence_check,
     q_integer_product,
@@ -524,9 +523,6 @@ def run_suite(name, cfg):
             f"its --exhaustive limit is n = {suite.cap}\n"
         )
         top = allowed
-    # the Groebner basis cache, the classify memo and the Saito memos live
-    # for one suite, not for the process: clear_caches empties them all
-    # however the suite ends
     try:
         tasks = suite.plan(top)
         if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
@@ -551,7 +547,7 @@ def run_suite(name, cfg):
         else:
             chunks = [_execute(t) for t in tasks]
     finally:
-        clear_caches()
+        clear_suite_caches()
     reports = [make_report(*row) for chunk in chunks for row in chunk]
     reports.sort(key=lambda r: (r["check"], r["n"], r["instance"]))
     return reports

@@ -6,8 +6,8 @@ alpha | theta(alpha) for each defining form alpha.  Freeness is always
 certified through Saito's criterion against an explicit basis; the module
 itself is never materialized.  Membership is exact division of theta(alpha)
 by alpha, decided once per suite for each distinct pair (theta, alpha); each
-column derivation and each image theta(x1 + ... + xn) is likewise built
-once per suite and shared.  Given membership, homogeneity and the degree
+column derivation and each image theta(x1 + ... + xn) is likewise a
+suite_cache memo.  Given membership, homogeneity and the degree
 sum, the determinant of an Arrangement's basis is a constant times the
 product of its distinct forms, which is nonzero at p = (1, 2, ..., n); so
 one evaluation at p decides it.  An explicit form list may repeat a form, so
@@ -41,6 +41,7 @@ from .polynomials import (
     divides,
     exact_divide,
     matrix_determinant,
+    suite_cache,
 )
 
 
@@ -63,10 +64,6 @@ class Derivation:
             raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
         self.n = n
         self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, n):
-        return cls([Polynomial.zero(n)] * n)
 
     @classmethod
     def euler(cls, n):
@@ -165,33 +162,10 @@ def _forms(target):
     return forms, n
 
 
-# Saito certification meets the same inputs again and again: a southwest
-# task certifies A, its deletion and its restriction, and other tasks meet the
-# same columns and forms.  Each memo maps exact values (keys compare by
-# Derivation and Polynomial equality) to values nothing writes to, so one
-# object serves every caller.  Like the Groebner basis cache they live for one
-# suite: st_algebras.clear_caches empties them through clear_derivation_caches.
-_COLUMNS = {}  # (column rows, slots, n) -> column derivation
-_TANGENT = {}  # theta -> {alpha: whether alpha divides theta(alpha)}
-_IMAGES = {}  # theta -> theta(x1 + ... + xn)
-
-
-def clear_derivation_caches():
-    """Forget every memoised column derivation, tangency test and image."""
-    _COLUMNS.clear()
-    _TANGENT.clear()
-    _IMAGES.clear()
-
-
+@suite_cache
 def _tangent(theta, alpha):
     """alpha | theta(alpha): theta is tangent to the hyperplane alpha = 0."""
-    known = _TANGENT.get(theta)
-    if known is None:
-        known = _TANGENT[theta] = {}
-    got = known.get(alpha)
-    if got is None:
-        got = known[alpha] = divides(alpha, theta.apply(alpha))
-    return got
+    return divides(alpha, theta.apply(alpha))
 
 
 def is_derivation_of(theta, target):
@@ -250,17 +224,17 @@ def _constant(c):
 
 def _column_derivation(A, j, slots):
     """Sum over k in slots of the product of the column-j forms of A with
-    their second index moved to k, times d/dx_k; shared, so callers must not
-    change it."""
-    col = tuple(sorted(i for i, jj in A.pairs if jj == j))
-    key = (col, tuple(slots), A.n)
-    got = _COLUMNS.get(key)
-    if got is None:
-        coeffs = [Polynomial.zero(A.n)] * A.n
-        for k in slots:
-            coeffs[k - 1] = forms_product([(i, k) for i in col], A.n)
-        got = _COLUMNS[key] = Derivation(coeffs)
-    return got
+    their second index moved to k, times d/dx_k."""
+    return _column(tuple(sorted(i for i, jj in A.pairs if jj == j)), tuple(slots), A.n)
+
+
+@suite_cache
+def _column(col, slots, n):
+    """The column derivation of the rows col over the given slots."""
+    coeffs = [Polynomial.zero(n)] * n
+    for k in slots:
+        coeffs[k - 1] = forms_product([(i, k) for i in col], n)
+    return Derivation(coeffs)
 
 
 def southwest_basis(A):
@@ -296,12 +270,10 @@ def _eta(n):
     return Polynomial(n, dict.fromkeys(units, 1))
 
 
+@suite_cache
 def _image(theta):
-    """theta(x1 + ... + xn), the sum of theta's coefficients; shared."""
-    got = _IMAGES.get(theta)
-    if got is None:
-        got = _IMAGES[theta] = theta.apply(_eta(theta.n))
-    return got
+    """theta(x1 + ... + xn), the sum of theta's coefficients."""
+    return theta.apply(_eta(theta.n))
 
 
 def skip_generators(skips, n):

@@ -35,7 +35,6 @@ read a row's term dict in place and write only to the remainder they own.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -45,6 +44,7 @@ from .polynomials import (
     box_monomials,
     coeff_div,
     exact_divide,
+    suite_cache,
 )
 
 # -- packed monomials ---------------------------------------------------------
@@ -119,7 +119,7 @@ class _Packing:
         return tuple((raw >> p) & mask for p in self.positions)
 
 
-@lru_cache(maxsize=None)
+@suite_cache
 def _packing(blocks, bits):
     return _Packing(blocks, bits)
 
@@ -341,7 +341,8 @@ def groebner_basis(polys, blocks=None):
 
 # the packed rows of the last basis normal_form reduced against, as
 # [basis tuple, its degree, packing, rows]; one entry, because keeping every
-# basis packed would double the memory of the basis cache
+# basis packed would double the memory of the basis cache.  A packing made
+# after clear_suite_caches is a new object, so the rows are rebuilt then.
 _LAST_ROWS = [None, -1, None, None]
 
 
@@ -379,15 +380,10 @@ def s_polynomial(f, g):
 
 # -- ideals ------------------------------------------------------------------
 
-# grevlex reduced bases keyed by (n, nonzero generator set); it lives for one
-# suite: cli.run_suite empties it through st_algebras.clear_caches
-_GB_CACHE = {}
-
-
-def clear_basis_cache():
-    """Forget every cached reduced basis, and the packed rows of the last."""
-    _GB_CACHE.clear()
-    _LAST_ROWS[:] = None, -1, None, None
+@suite_cache
+def _reduced_basis(key):
+    """The grevlex reduced basis of the ideal keyed (n, nonzero generator set)."""
+    return groebner_basis(list(key[1]))
 
 
 class Ideal:
@@ -408,11 +404,7 @@ class Ideal:
         key = self._key
         if key is None:  # built on first use, once per Ideal
             key = self._key = (self.n, frozenset(g for g in self.gens if g))
-        got = _GB_CACHE.get(key)
-        if got is None:
-            got = groebner_basis(list(self.gens))
-            _GB_CACHE[key] = got
-        return got
+        return _reduced_basis(key)
 
     def normal_form(self, f):
         if f.n != self.n:

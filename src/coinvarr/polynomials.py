@@ -29,7 +29,9 @@ like the hash.
 It is also the one home of the kernels the other layers share: box
 enumeration, monomial text, and exact linear algebra (matrix_determinant,
 by Bareiss elimination on constant matrices, and the fraction-free
-echelon_rows, whose pivot count is rank_of_elements).
+echelon_rows, whose pivot count is rank_of_elements).  And it keeps the
+package's one memo lifetime: every memo is a suite_cache, and
+clear_suite_caches empties all of them when a suite ends.
 """
 
 from __future__ import annotations
@@ -45,6 +47,28 @@ from operator import add
 
 class AmbientMismatch(ValueError):
     """Two objects disagree on the ambient variable count."""
+
+
+_SUITE_CACHES = []
+
+
+def suite_cache(fn):
+    """functools.cache(fn), recorded so that clear_suite_caches empties it.
+
+    A suite meets the same inputs again and again: a southwest task
+    certifies A, its deletion and its restriction.  So the package memoises
+    them, and every memo lives for one suite.  Keys compare by value and
+    nothing writes to a memoised result, so one object serves every caller.
+    """
+    memo = cache(fn)
+    _SUITE_CACHES.append(memo)
+    return memo
+
+
+def clear_suite_caches():
+    """Empty every memo that suite_cache recorded."""
+    for memo in _SUITE_CACHES:
+        memo.cache_clear()
 
 
 def grevlex_key(exps):
@@ -290,7 +314,7 @@ class Polynomial:
         """Substitute x_i -> 0, staying in the same ambient ring."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
-        return Polynomial(
+        return Polynomial._from_terms(
             self.n, {e: c for e, c in self.terms.items() if e[i - 1] == 0}
         )
 
@@ -302,8 +326,8 @@ class Polynomial:
         for e, c in self.terms.items():
             if e[i - 1]:
                 raise ValueError(f"polynomial depends on x{i}; substitute first")
-            out[e[: i - 1] + e[i:]] = c
-        return Polynomial(self.n - 1, out)
+            out[e[: i - 1] + e[i:]] = c  # distinct: e[i - 1] is 0
+        return Polynomial._from_terms(self.n - 1, out)
 
     # -- text form ---------------------------------------------------------
 
@@ -428,12 +452,9 @@ def diffop_apply(f, g):
     return Polynomial(f.n, out)
 
 
-@cache
+@suite_cache
 def vandermonde(n):
-    """prod_{1 <= i < j <= n} (x_i - x_j).
-
-    Built once per n and shared: callers must not change its terms.
-    """
+    """prod_{1 <= i < j <= n} (x_i - x_j)."""
     xs = variables(n)
     result = Polynomial.one(n)
     for i in range(n):

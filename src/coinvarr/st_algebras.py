@@ -28,21 +28,15 @@ from .arrangements import (
     staircase,
     staircase_monomials,
 )
-from .derivations import (
-    clear_derivation_caches,
-    skip_basis,
-    southwest_basis,
-    st_ideal,
-)
-from .groebner import Ideal, clear_basis_cache, colon, ideal_equal
-from .polynomials import Polynomial, box_monomials, rank_of_elements
+from .derivations import skip_basis, southwest_basis, st_ideal
+from .groebner import Ideal, colon, ideal_equal
+from .polynomials import Polynomial, box_monomials, rank_of_elements, suite_cache
 from .symmetric import coinvariant_generators, steinberg_member
 
 __all__ = [
     "STInstance",
     "certified_basis",
     "classify",
-    "clear_caches",
     "exact_sequence_check",
     "verify_box_basis",
     "verify_skip_quotient",
@@ -114,23 +108,6 @@ def q_integer_product(sizes):
     return tuple(out)
 
 
-# classify(A) of an Arrangement with its certified basis, keyed by A.  A
-# southwest task classifies A, its deletion and its restriction, and other
-# tasks meet the same arrangements again.  Like the Groebner basis cache and
-# the Saito memos of derivations it lives for one suite: cli.run_suite
-# empties all of them through clear_caches.
-# Nothing writes to an STInstance after classify builds it, so one object
-# may serve every caller.
-_CLASSIFIED = {}
-
-
-def clear_caches():
-    """Forget every memoised classification, Saito input and reduced basis."""
-    _CLASSIFIED.clear()
-    clear_derivation_caches()
-    clear_basis_cache()
-
-
 def classify(target, basis=None):
     """Classify the quotient by the Solomon-Terao ideal into its three shapes.
 
@@ -139,34 +116,35 @@ def classify(target, basis=None):
     must match the product formula over the basis degrees and be
     palindromic; a mismatch means the certification is broken, so it raises
     rather than returning a report.  An Arrangement classified with its
-    default basis is memoised until clear_caches; an explicit basis or a
-    form list is classified afresh on every call.
+    default basis is memoised by _classified; an explicit basis or a form
+    list is classified afresh on every call.
     """
-    memo = basis is None and isinstance(target, Arrangement)
-    if memo:
-        got = _CLASSIFIED.get(target)
-        if got is not None:
-            return got
+    if basis is None and isinstance(target, Arrangement):
+        return _classified(target)
+    return _classify(target, basis)
+
+
+@suite_cache
+def _classified(A):
+    """classify(A) of an Arrangement with its certified basis."""
+    return _classify(A, None)
+
+
+def _classify(target, basis):
     if basis is None:
         basis = certified_basis(target)
     basis = tuple(basis)
     ideal = st_ideal(target, basis)
     if ideal.is_unit():
-        inst = STInstance(target, ideal, "zero", (), 0)
-    elif not ideal.is_artinian():
-        inst = STInstance(target, ideal, "infinite", None, None)
-    else:
-        hilbert = ideal.hilbert_series()
-        if hilbert != q_integer_product(theta.degree() for theta in basis):
-            raise ArithmeticError("Hilbert series disagrees with the basis degrees")
-        if tuple(hilbert) != tuple(reversed(hilbert)):
-            raise ArithmeticError("Artinian quotient has a non-palindromic series")
-        inst = STInstance(
-            target, ideal, "poincare-duality", tuple(hilbert), sum(hilbert)
-        )
-    if memo:
-        _CLASSIFIED[target] = inst
-    return inst
+        return STInstance(target, ideal, "zero", (), 0)
+    if not ideal.is_artinian():
+        return STInstance(target, ideal, "infinite", None, None)
+    hilbert = ideal.hilbert_series()
+    if hilbert != q_integer_product(theta.degree() for theta in basis):
+        raise ArithmeticError("Hilbert series disagrees with the basis degrees")
+    if tuple(hilbert) != tuple(reversed(hilbert)):
+        raise ArithmeticError("Artinian quotient has a non-palindromic series")
+    return STInstance(target, ideal, "poincare-duality", tuple(hilbert), sum(hilbert))
 
 
 # -- short exact sequence ----------------------------------------------------
@@ -242,9 +220,8 @@ def verify_box_basis(inst):
     exps = box_monomials(h)
     if len(exps) != inst.dimension:
         return False
-    rows = [
-        inst.ideal.normal_form(Polynomial.monomial(A.n, e)) for e in exps
-    ]
+    # box_monomials yields checked exponent tuples
+    rows = [inst.ideal.normal_form(Polynomial._from_terms(A.n, {e: 1})) for e in exps]
     return rank_of_elements(rows) == len(exps)
 
 
@@ -267,7 +244,7 @@ def verify_skip_quotient(skips, n):
         return False
     if quotient.dimension() != count:
         return False
-    rows = [quotient.normal_form(Polynomial.monomial(n, e)) for e in exps]
+    rows = [quotient.normal_form(Polynomial._from_terms(n, {e: 1})) for e in exps]
     return rank_of_elements(rows) == count
 
 

@@ -111,10 +111,6 @@ class SuperElement:
         return cls(n)
 
     @classmethod
-    def one(cls, n):
-        return cls.from_polynomial(Polynomial.one(n))
-
-    @classmethod
     def monomial(cls, mono):
         # mono.exps is already a checked exponent tuple
         p = Polynomial._from_terms(mono.n, {mono.exps: 1})

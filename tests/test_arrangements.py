@@ -36,7 +36,7 @@ from coinvarr.arrangements import (
     staircase_monomials,
     subsets,
 )
-from coinvarr.cli import main
+from coinvarr import cli
 from coinvarr.polynomials import Polynomial, vandermonde, variables
 
 # the worked n=5 example used throughout: x1, x2, x1-x2, x1-x3, x2-x3,
@@ -125,12 +125,14 @@ def test_linear_forms():
     assert linear_forms(Arrangement(2, [])) == []
 
 
-def test_shared_linear_forms_survive_a_full_run(tmp_path):
+def test_shared_linear_forms_survive_a_full_run(tmp_path, monkeypatch):
     # linear_form hands every caller one shared polynomial per (pair, n);
     # after every suite has used them, each cached form still equals, hashes
-    # and leads like one built afresh, so no caller has changed one
+    # and leads like one built afresh, so no caller has changed one.  The run
+    # keeps its memos, which a suite's end would otherwise empty.
+    monkeypatch.setattr(cli, "clear_suite_caches", lambda: None)
     out = tmp_path / "report.json"
-    assert main(["verify", "all", "--n", "3", "--out", str(out)]) == 0
+    assert cli.main(["verify", "all", "--n", "3", "--out", str(out)]) == 0
     before = linear_form.cache_info()
     assert before.currsize
     keys = [

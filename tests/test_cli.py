@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coinvarr import cli, groebner, st_algebras, superspace
+from coinvarr import cli, st_algebras, superspace
 from coinvarr.arrangements import full_arrangement
 from coinvarr.cli import (
     RunConfig,
@@ -19,7 +19,7 @@ from coinvarr.cli import (
     run_suite,
 )
 from coinvarr.groebner import Ideal
-from coinvarr.polynomials import Polynomial
+from coinvarr.polynomials import _SUITE_CACHES, Polynomial, vandermonde
 from coinvarr.st_algebras import classify
 from coinvarr.superspace import invariant_ideal_rows, rank_of_elements
 
@@ -54,31 +54,50 @@ def test_run_suite_unknown_name():
         run_suite("no-such-suite", RunConfig(n=2))
 
 
-def _fill_groebner_cache():
-    # also fills the classify memo, which lives as long as the basis cache
+def _suite_memo_sizes():
+    return {
+        f"{memo.__module__}.{memo.__name__}": memo.cache_info().currsize
+        for memo in _SUITE_CACHES
+    }
+
+
+def _fill_suite_memos():
+    # a Groebner basis, a classification (with its Saito inputs, linear forms
+    # and packings) and a Vandermonde product fill every suite_cache memo
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     Ideal(2, [x1 + x2, x1 * x2]).groebner()
     classify(full_arrangement(2))
-    assert groebner._GB_CACHE and st_algebras._CLASSIFIED
+    vandermonde(2)
+    sizes = _suite_memo_sizes()
+    assert all(sizes.values()), sizes
 
 
 def test_run_suite_empties_the_groebner_cache(monkeypatch):
-    for name in ("cospan", "southwest-quotient"):
-        _fill_groebner_cache()
-        reports = run_suite(name, RunConfig(n=2))
+    # and every other memo that suite_cache recorded
+    assert set(_suite_memo_sizes()) == {
+        "coinvarr.arrangements.linear_form",
+        "coinvarr.derivations._column",
+        "coinvarr.derivations._image",
+        "coinvarr.derivations._tangent",
+        "coinvarr.groebner._packing",
+        "coinvarr.groebner._reduced_basis",
+        "coinvarr.polynomials.vandermonde",
+        "coinvarr.st_algebras._classified",
+    }
+    for name in ("cospan", "southwest-quotient", "saito-southwest", "skip-quotient"):
+        _fill_suite_memos()
+        reports = run_suite(name, RunConfig(n=3))
         assert reports and all(r["pass"] for r in reports)
-        assert not groebner._GB_CACHE
-        assert not st_algebras._CLASSIFIED
+        assert not any(_suite_memo_sizes().values()), name
 
     def failing_plan(top):
-        _fill_groebner_cache()
+        _fill_suite_memos()
         raise RuntimeError("plan failed")
 
     monkeypatch.setattr(SUITES["staircase"], "plan", failing_plan)
     with pytest.raises(RuntimeError):
         run_suite("staircase", RunConfig(n=2))
-    assert not groebner._GB_CACHE
-    assert not st_algebras._CLASSIFIED
+    assert not any(_suite_memo_sizes().values())
 
 
 def test_staircase_suite_counts_and_passes():

@@ -39,12 +39,12 @@ from coinvarr.groebner import Ideal, colon, ideal_equal, is_regular_sequence
 from coinvarr.polynomials import (
     AmbientMismatch,
     Polynomial,
+    clear_suite_caches,
     divides,
     matrix_determinant,
     vandermonde,
     variables,
 )
-from coinvarr.st_algebras import clear_caches
 from coinvarr.symmetric import coinvariant_generators
 
 EXAMPLE5 = Arrangement(
@@ -79,6 +79,10 @@ def _random_derivation(rng, n, deg, terms):
     return Derivation([_random_poly(rng, n, deg, terms) for _ in range(n)])
 
 
+def _zero_derivation(n):
+    return Derivation([Polynomial.zero(n)] * n)
+
+
 def _partial(n, k):
     """The bare partial derivative d/dx_k."""
     return Derivation(
@@ -93,8 +97,8 @@ def test_derivation_construction_and_arithmetic():
     x1, x2, x3 = variables(n)
     assert e.coeffs == (x1, x2, x3)
     assert (d1 + d1).coeffs[0] == 2 * Polynomial.one(n)
-    assert (e - e) == Derivation.zero(n)
-    assert not Derivation.zero(n)
+    assert (e - e) == _zero_derivation(n)
+    assert not _zero_derivation(n)
     assert (x2 * d1).coeffs == (x2, Polynomial.zero(n), Polynomial.zero(n))
     with pytest.raises(ValueError):
         Derivation([x1, x2])  # three variables, two coefficients
@@ -152,7 +156,7 @@ def test_degree_and_homogeneity():
     n = 3
     assert Derivation.euler(n).degree() == 1
     assert _partial(n, 2).degree() == 0
-    assert Derivation.zero(n).degree() == -1
+    assert _zero_derivation(n).degree() == -1
     x1, x2, x3 = variables(n)
     # coefficients of unequal degrees, and one inhomogeneous coefficient
     mixed = Derivation([x1, Polynomial.one(n), Polynomial.zero(n)])
@@ -212,7 +216,7 @@ def test_saito_degenerate_inputs():
     n = 2
     euler = Derivation.euler(n)
     full = full_arrangement(n)
-    assert not saito_check([euler, Derivation.zero(n)], full)
+    assert not saito_check([euler, _zero_derivation(n)], full)
     assert not saito_check([euler, euler], full)  # degree sum 2, three forms
     with pytest.raises(ValueError):
         saito_check([euler], full)
@@ -436,7 +440,7 @@ def _skip_basis_literal(skips, n):
 def test_southwest_basis_matches_the_literal_column_products():
     # once on cold memos and once on warm ones, where the column derivations
     # come back as the very objects the first pass built
-    clear_caches()
+    clear_suite_caches()
     cases = [A for n in range(1, 6) for A in enumerate_southwest(n)]
     cold = {A: southwest_basis(A) for A in cases}
     for A in cases:
@@ -445,18 +449,18 @@ def test_southwest_basis_matches_the_literal_column_products():
         warm = southwest_basis(A)
         assert warm == literal, A
         assert all(a is b for a, b in zip(warm, cold[A])), A
-    clear_caches()
+    clear_suite_caches()
 
 
 def test_skip_basis_matches_the_literal_staircase_formula():
     # a skipped slot is the column product truncated to its k = i term; a
     # full k = i..n sum there differs whenever a slot below n is skipped
-    clear_caches()
+    clear_suite_caches()
     for _ in ("cold", "warm"):
         for n in range(1, 6):
             for skips in subsets(range(1, n + 1)):
                 assert skip_basis(skips, n) == _skip_basis_literal(skips, n), (n, skips)
-    clear_caches()
+    clear_suite_caches()
 
 
 def _one_coefficient_off(theta, k):
@@ -473,7 +477,7 @@ def test_tangency_memo_keeps_near_identical_derivations_apart():
     # each variant differs from a certified derivation in one coefficient and
     # is no member (the plain division oracle says so); the memo must reject
     # it both before and after the certified basis itself was accepted
-    clear_caches()
+    clear_suite_caches()
     A = EXAMPLE5
     basis = southwest_basis(A)
     forms = linear_forms(A)
@@ -492,18 +496,21 @@ def test_tangency_memo_keeps_near_identical_derivations_apart():
         assert not saito_check(bad_basis, A)
         assert not saito_check(list(bad_basis), list(forms))
     assert saito_check(basis, A)
-    clear_caches()
+    clear_suite_caches()
 
 
 def _derivation_memos():
-    return [derivations._COLUMNS, derivations._TANGENT, derivations._IMAGES]
+    return [
+        memo.cache_info().currsize
+        for memo in (derivations._column, derivations._tangent, derivations._image)
+    ]
 
 
 def test_clear_caches_and_run_suite_empty_the_saito_memos():
     st_ideal(EXAMPLE5, southwest_basis(EXAMPLE5))
     skip_generators({2}, 3)
     assert all(_derivation_memos())
-    clear_caches()
+    clear_suite_caches()
     assert not any(_derivation_memos())
     for name in ("saito-southwest", "southwest-quotient", "skip-quotient"):
         st_ideal(EXAMPLE5, southwest_basis(EXAMPLE5))
@@ -520,7 +527,7 @@ def test_restrict_derivation_fixtures():
             )
     x1, x2 = variables(2)
     theta = Derivation([Polynomial.zero(2), x2 * (x1 - x2)])
-    assert restrict_derivation(theta, 2) == Derivation.zero(1)
+    assert restrict_derivation(theta, 2) == _zero_derivation(1)
     with pytest.raises(ValueError):
         restrict_derivation(_partial(2, 2), 2)
     with pytest.raises(ValueError):

@@ -19,7 +19,13 @@ from coinvarr.groebner import (
     normal_form,
     s_polynomial,
 )
-from coinvarr.polynomials import Polynomial, coeff_div, grevlex_key, variables
+from coinvarr.polynomials import (
+    Polynomial,
+    clear_suite_caches,
+    coeff_div,
+    grevlex_key,
+    variables,
+)
 from coinvarr.symmetric import coinvariant_generators, elementary
 
 
@@ -206,7 +212,7 @@ def test_stored_rows_are_primitive_with_positive_leads(monkeypatch):
         return row
 
     monkeypatch.setattr(groebner, "_row", checked)
-    groebner.clear_basis_cache()
+    clear_suite_caches()
     rng = random.Random(3119)
     for _ in range(12):
         n = rng.randint(2, 4)
@@ -358,13 +364,13 @@ def test_basis_cache_ignores_generator_order_and_zeros(monkeypatch):
         return real(polys, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "groebner_basis", counting)
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    clear_suite_caches()
     gens = coinvariant_generators(3)
     first = Ideal(3, gens).groebner()
     second = Ideal(3, list(reversed(gens)) + [Polynomial.zero(3)]).groebner()
     assert second is first
     assert len(calls) == 1
-    assert len(groebner._GB_CACHE) == 1
+    assert groebner._reduced_basis.cache_info().currsize == 1
 
 
 def test_artinian_detection():

@@ -81,21 +81,32 @@ def test_no_private_name_crosses_a_module():
 
 
 def _names(tree):
-    """Every name that tree reads as a Name or an Attribute."""
+    """Every name that tree reads as a Name or an Attribute, and each
+    attribute read off a bare name as the pair (that name, attribute)."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.add((node.value.id, node.attr))
     return names
+
+
+def _is_classmethod(member):
+    return any(
+        isinstance(d, ast.Name) and d.id == "classmethod" for d in member.decorator_list
+    )
 
 
 def test_every_public_name_has_a_caller():
     # a use is a Name or Attribute node outside the name's own definition;
     # imports and strings such as __all__ entries do not count.  A public
     # method, listed as Class.method, counts as used when any package code
-    # reads an attribute of its name, whatever the object.
+    # reads an attribute of its name, whatever the object; a public
+    # classmethod only when package code reads Class.method, or cls.method
+    # inside its class.
     public = {}  # listed name -> the name a caller reads
     used = set()
     for path in SRC.glob("*.py"):
@@ -112,8 +123,11 @@ def test_every_public_name_has_a_caller():
             for member in top.body:
                 name = getattr(member, "name", None)
                 if isinstance(member, ast.FunctionDef) and name[0] != "_":
-                    public[f"{own}.{name}"] = name
-                used |= _names(member) - {name, own}
+                    qualified = _is_classmethod(member)
+                    public[f"{own}.{name}"] = (own, name) if qualified else name
+                reads = _names(member) - {name, own, (own, name), ("cls", name)}
+                pairs = {r for r in reads if isinstance(r, tuple)}
+                used |= reads | {(own, attr) for base, attr in pairs if base == "cls"}
             for node in top.bases + top.decorator_list:
                 used |= _names(node)
     unreferenced = {listed for listed, name in public.items() if name not in used}
@@ -136,6 +150,12 @@ def test_no_module_imports_os():
     # a run's whole configuration is its command line, not the environment
     users = {p.stem for p in SRC.glob("*.py") if "os" in _top_level_imports(p)}
     assert users == set()
+
+
+def test_only_polynomials_imports_functools():
+    # every memo is a polynomials.suite_cache, emptied when a suite ends
+    users = {p.stem for p in SRC.glob("*.py") if "functools" in _top_level_imports(p)}
+    assert users == {"polynomials"}
 
 
 def test_only_groebner_imports_heapq():

@@ -18,13 +18,12 @@ from coinvarr.arrangements import (
 )
 from coinvarr.derivations import Derivation, saito_check
 from coinvarr.groebner import Ideal, colon
-from coinvarr.polynomials import Polynomial, variables
+from coinvarr.polynomials import Polynomial, clear_suite_caches, variables
 from coinvarr import st_algebras
 from coinvarr.st_algebras import (
     STInstance,
     certified_basis,
     classify,
-    clear_caches,
     colon_descent_check,
     cospan_check,
     exact_sequence_check,
@@ -151,28 +150,28 @@ def test_classify_dimension_is_column_product():
 
 
 def test_classify_memoises_equal_arrangements():
-    clear_caches()
+    clear_suite_caches()
     first = classify(full_arrangement(3))
     again = classify(Arrangement(3, sorted(full_arrangement(3).pairs)))
     assert again is first
-    assert st_algebras._CLASSIFIED == {full_arrangement(3): first}
-    clear_caches()
-    assert not st_algebras._CLASSIFIED
+    assert st_algebras._classified.cache_info().currsize == 1
+    clear_suite_caches()
+    assert not st_algebras._classified.cache_info().currsize
     assert classify(full_arrangement(3)) is not first
 
 
 def test_classify_explicit_bases_and_form_lists_are_not_memoised():
-    clear_caches()
+    clear_suite_caches()
     A = full_arrangement(2)
     basis = certified_basis(A)
     explicit = classify(A, basis=basis)
     assert classify(A, basis=basis) is not explicit
-    assert not st_algebras._CLASSIFIED
+    assert not st_algebras._classified.cache_info().currsize
     one = Polynomial.one(2)
     line = [Derivation([one, -one]), Derivation.euler(2)]
     x1, x2 = variables(2)
     assert classify([x1 + x2], basis=line) is not classify([x1 + x2], basis=line)
-    assert not st_algebras._CLASSIFIED
+    assert not st_algebras._classified.cache_info().currsize
     # the memoised value equals the one an explicit basis gives
     inst = classify(A)
     assert (inst.tag, inst.hilbert, inst.dimension) == (
@@ -185,7 +184,7 @@ def test_classify_explicit_bases_and_form_lists_are_not_memoised():
 
 def test_checks_leave_a_memoised_instance_as_built():
     # every southwest check reads the one shared instance of each arrangement
-    clear_caches()
+    clear_suite_caches()
     for A in enumerate_southwest(3, essential_only=True):
         inst = classify(A)
         before = (inst.target, inst.ideal.gens, inst.tag, inst.hilbert, inst.dimension)
@@ -194,7 +193,7 @@ def test_checks_leave_a_memoised_instance_as_built():
         assert classify(A) is inst
         after = (inst.target, inst.ideal.gens, inst.tag, inst.hilbert, inst.dimension)
         assert after == before
-    clear_caches()
+    clear_suite_caches()
 
 
 # -- short exact sequence ----------------------------------------------------
