@@ -52,12 +52,11 @@ from .groebner import (
     ideal_equal,
     is_regular_sequence,
 )
-from .polynomials import Polynomial, clear_suite_caches
+from .polynomials import Polynomial, clear_suite_caches, q_integer_product
 from .st_algebras import (
     classify,
     cospan_check,
     exact_sequence_check,
-    q_integer_product,
     verify_box_basis,
     verify_skip_quotient,
 )
@@ -525,16 +524,16 @@ def run_suite(name, cfg):
         top = allowed
     try:
         tasks = suite.plan(top)
-        if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
-            rng = random.Random(cfg.seed)
-            # instances need not compare; (n, key) is unique per task
-            tasks = sorted(rng.sample(tasks, SAMPLE_CAP), key=lambda t: t[:2])
-        elif suite.count is not None:
+        if suite.count is not None:  # the full plan, before any sampling
             want = suite.count(top)
             if len(tasks) != want:
                 raise RuntimeError(
                     f"suite {name} planned {len(tasks)} instances, expected {want}"
                 )
+        if cfg.seed is not None and len(tasks) > SAMPLE_CAP:
+            rng = random.Random(cfg.seed)
+            # instances need not compare; (n, key) is unique per task
+            tasks = sorted(rng.sample(tasks, SAMPLE_CAP), key=lambda t: t[:2])
         tasks = [(name, n, key, instance, cfg) for n, key, instance in tasks]
         # a pool may fork all its workers at the first submit
         workers = min(cfg.workers, len(tasks))
@@ -615,7 +614,12 @@ def _build_parser():
         help=f"sample at most {SAMPLE_CAP} instances per suite with this seed",
     )
     verify.add_argument("--out", default=None, help="write the report here")
-    verify.add_argument("--format", choices=["json", "csv"], default="json")
+    verify.add_argument(
+        "--format",
+        choices=["json", "csv"],
+        default="json",
+        help="report format (default json)",
+    )
     verify.add_argument(
         "--workers",
         type=int,

@@ -7,16 +7,18 @@ certified through Saito's criterion against an explicit basis; the module
 itself is never materialized.  Membership is exact division of theta(alpha)
 by alpha, decided once per suite for each distinct pair (theta, alpha); each
 column derivation and each image theta(x1 + ... + xn) is likewise a
-suite_cache memo.  Given membership, homogeneity and the degree
-sum, the determinant of an Arrangement's basis is a constant times the
-product of its distinct forms, which is nonzero at p = (1, 2, ..., n); so
-one evaluation at p decides it.  An explicit form list may repeat a form, so
-there the polynomial determinant is divided by the product instead.  The
-Solomon-Terao ideal of an arrangement is generated by the images
-theta(x1 + ... + xn) of a certified basis; each image is the sum of the
-coefficients of theta.  Both certified bases come from one column-product
-formula: the southwest basis is it, and the skip basis is it on the skip
-arrangement with each skipped slot truncated to one term.
+suite_cache memo.  Given membership, homogeneity and the degree sum, the
+determinant of an Arrangement's basis is a constant times the product of
+its distinct forms, which is nonzero at p = (1, 2, ..., n); so the
+determinant of the coefficients' values at p, a matrix of plain numbers,
+decides it.  An explicit form list may repeat a form, so there the
+polynomial determinant is divided by the product instead.  Both go through
+the one Bareiss loop of polynomials.matrix_determinant.  The Solomon-Terao
+ideal of an arrangement is generated by the images theta(x1 + ... + xn) of
+a certified basis; each image is the sum of the coefficients of theta.
+Both certified bases come from one column-product formula: the southwest
+basis is it, and the skip basis is it on the skip arrangement with each
+skipped slot truncated to one term.
 
 Targets are either an Arrangement or an explicit list of linear forms.
 The latter keeps fixtures like {x1+x2 = 0} available even though the
@@ -186,7 +188,9 @@ def saito_check(thetas, target):
     independence over the polynomial ring.
 
     For an Arrangement target the determinant is decided at the one point
-    p = (1, 2, ..., n).  Its forms are distinct primes, so membership gives
+    p = (1, 2, ..., n): the coefficients are evaluated there, and the
+    determinant of those ints and Fractions is taken over Q.  The
+    arrangement's forms are distinct primes, so membership gives
     Q | det; homogeneity and the degree sum make det = c * Q for a constant
     c; and Q(p) is a product of the nonzero integers j and i - j.  So
     det(p) != 0 exactly when c != 0.  An explicit form list may repeat a
@@ -210,16 +214,11 @@ def saito_check(thetas, target):
             return False
     if isinstance(target, Arrangement):
         p = range(1, n + 1)
-        rows = [[_constant(c.evaluate(p)) for c in theta.coeffs] for theta in thetas]
+        rows = [[c.evaluate(p) for c in theta.coeffs] for theta in thetas]
         return bool(matrix_determinant(rows, 0))
     det = matrix_determinant([theta.coeffs for theta in thetas], n)
     quotient = exact_divide(det, math.prod(forms, start=Polynomial.one(n)))
     return quotient is not None and quotient.degree() == 0
-
-
-def _constant(c):
-    """The 0-variable Polynomial of the exact value c, unchecked."""
-    return Polynomial._from_terms(0, {(): c} if c else {})
 
 
 def _column_derivation(A, j, slots):

@@ -27,11 +27,11 @@ heap-ordered reducer.  Polynomial.leading() memoises the leading exponent,
 like the hash.
 
 It is also the one home of the kernels the other layers share: box
-enumeration, monomial text, and exact linear algebra (matrix_determinant,
-by Bareiss elimination on constant matrices, and the fraction-free
-echelon_rows, whose pivot count is rank_of_elements).  And it keeps the
-package's one memo lifetime: every memo is a suite_cache, and
-clear_suite_caches empties all of them when a suite ends.
+enumeration, q-integer products, monomial text, and exact linear algebra:
+matrix_determinant, one fraction-free Bareiss loop over Q and over Q[x],
+and the fraction-free echelon_rows, whose pivot count is rank_of_elements.
+And it keeps the package's one memo lifetime: every memo is a suite_cache,
+and clear_suite_caches empties all of them when a suite ends.
 """
 
 from __future__ import annotations
@@ -105,6 +105,23 @@ def coeff_div(a, b):
 def box_monomials(bounds):
     """Exponent tuples e with 0 <= e_i < bounds[i], lex-descending."""
     return list(itertools.product(*(range(b - 1, -1, -1) for b in bounds)))
+
+
+def q_integer_product(sizes):
+    """Coefficients of prod over sizes of (1 + q + ... + q^(m-1)), as a tuple.
+
+    A size below one gives the empty tuple.
+    """
+    out = [1]
+    for m in sizes:
+        if m < 1:
+            return ()
+        nxt = [0] * (len(out) + m - 1)
+        for i, c in enumerate(out):
+            for k in range(m):
+                nxt[i + k] += c
+        out = nxt
+    return tuple(out)
 
 
 def monomial_factors(exps):
@@ -501,55 +518,28 @@ def divides(g, f):
 
 
 def matrix_determinant(rows, n):
-    """Determinant of a square matrix of polynomials in n variables.
+    """Determinant of a square matrix over Q (n = 0) or over Q[x1..xn].
 
-    A constant matrix (n = 0) goes through fraction-free Bareiss
-    elimination on its entries.  Otherwise Laplace expansion memoized on
-    column subsets; fine for the small matrices used here, and zero entries
-    prune the expansion.
+    The entries are all ints and Fractions when n = 0, and all Polynomials
+    in n variables otherwise; the determinant has the same type.  Both rings
+    go through one fraction-free Bareiss elimination on a copy of the rows:
+    after step k every entry below and right of the pivot is a (k+1)-minor,
+    so each division by the previous pivot is exact, by coeff_div over Q and
+    by exact_divide over Q[x], an integral domain.  A zero pivot swaps in a
+    lower row with a nonzero entry in its column, negating the sign; with
+    none left the matrix is singular.
     """
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        constants = [[entry.terms.get((), 0) for entry in row] for row in rows]
-        return Polynomial.constant(0, _bareiss(constants))
-    cache = {}
-
-    def minor(r, cols):
-        if not cols:
-            return Polynomial.one(n)
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        total = Polynomial.zero(n)
-        sign = 1
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry:
-                total = total + sign * entry * minor(r + 1, cols[:idx] + cols[idx + 1 :])
-            sign = -sign
-        cache[cols] = total
-        return total
-
-    return minor(0, tuple(range(size)))
-
-
-def _bareiss(m):
-    """Determinant of a square list of int or Fraction rows, consumed in place.
-
-    Fraction-free Bareiss elimination: after step k every entry below and
-    right of the pivot is a (k+1)-minor, so each division by the previous
-    pivot is exact.  A zero pivot swaps in a lower row with a nonzero entry
-    in its column, negating the sign; with none left the matrix is singular.
-    """
-    size = len(m)
-    sign, prev = 1, 1
+    one, divide = (Polynomial.one(n), exact_divide) if n else (1, coeff_div)
+    m = [list(r) for r in rows]
+    sign, prev = 1, one
     for k in range(size - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, size) if m[i][k]), None)
             if swap is None:
-                return 0
+                return m[k][k]  # column k is zero from row k down: singular
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot, row = m[k][k], m[k]
@@ -557,9 +547,9 @@ def _bareiss(m):
             lower = m[i]
             head = lower[k]
             for j in range(k + 1, size):
-                lower[j] = coeff_div(pivot * lower[j] - head * row[j], prev)
+                lower[j] = divide(pivot * lower[j] - head * row[j], prev)
         prev = pivot
-    return sign * m[-1][-1] if size else 1
+    return sign * m[-1][-1] if size else one
 
 
 def echelon_rows(elements):

@@ -30,7 +30,13 @@ from .arrangements import (
 )
 from .derivations import skip_basis, southwest_basis, st_ideal
 from .groebner import Ideal, colon, ideal_equal
-from .polynomials import Polynomial, box_monomials, rank_of_elements, suite_cache
+from .polynomials import (
+    Polynomial,
+    box_monomials,
+    q_integer_product,
+    rank_of_elements,
+    suite_cache,
+)
 from .symmetric import coinvariant_generators, steinberg_member
 
 __all__ = [
@@ -42,7 +48,6 @@ __all__ = [
     "verify_skip_quotient",
     "cospan_check",
     "colon_descent_check",
-    "q_integer_product",
 ]
 
 
@@ -89,23 +94,6 @@ def certified_basis(A):
     if A == skip_arrangement(skips, A.n):
         return skip_basis(skips, A.n)
     raise ValueError("no certified basis known for this arrangement")
-
-
-def q_integer_product(sizes):
-    """Coefficients of prod over sizes of (1 + q + ... + q^(m-1)), as a tuple.
-
-    A size below one gives the empty tuple.
-    """
-    out = [1]
-    for m in sizes:
-        if m < 1:
-            return ()
-        nxt = [0] * (len(out) + m - 1)
-        for i, c in enumerate(out):
-            for k in range(m):
-                nxt[i + k] += c
-        out = nxt
-    return tuple(out)
 
 
 def classify(target, basis=None):

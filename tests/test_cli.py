@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import os
@@ -160,6 +161,15 @@ def test_sampling_caps_and_is_deterministic():
     assert len(one) <= cli.SAMPLE_CAP
     other = run_suite("cospan", RunConfig(n=3, seed=12))
     assert {r["instance"] for r in other} != {r["instance"] for r in one}
+
+
+def test_sampling_still_checks_the_planned_count(monkeypatch):
+    # cospan plans 1098 tasks at n = 4, far above the sample cap; a plan
+    # one task short must fail before any task is sampled
+    plan = SUITES["cospan"].plan
+    monkeypatch.setattr(SUITES["cospan"], "plan", lambda top: plan(top)[1:])
+    with pytest.raises(RuntimeError):
+        run_suite("cospan", RunConfig(n=4, seed=1))
 
 
 # one suite per instance type, so a pooled run pickles each of them:
@@ -407,3 +417,14 @@ def test_suite_registry_docs():
         assert suite.name == name
         assert suite.doc
         assert suite.default_n <= suite.cap
+
+
+def test_every_verify_option_has_help():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [a for a in sub.choices["verify"]._actions if a.option_strings]
+    assert {"--format", "--sample", "--workers"} <= {
+        o for a in options for o in a.option_strings
+    }
+    bare = [a.option_strings for a in options if not a.help]
+    assert not bare, bare

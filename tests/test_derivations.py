@@ -317,6 +317,32 @@ def test_saito_evaluation_route_agrees_with_form_list_route():
     assert swapped == {True, False}
 
 
+def test_saito_builds_no_zero_variable_polynomial(monkeypatch):
+    # an Arrangement's determinant at p is taken over plain numbers, so no
+    # value is wrapped in a 0-variable Polynomial on the way
+    built = []
+    init, from_terms = Polynomial.__init__, Polynomial._from_terms.__func__
+
+    def recording_init(self, n, terms=None):
+        if n == 0:
+            built.append(terms)
+        init(self, n, terms)
+
+    def recording_from_terms(cls, n, terms):
+        if n == 0:
+            built.append(terms)
+        return from_terms(cls, n, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", recording_init)
+    monkeypatch.setattr(Polynomial, "_from_terms", classmethod(recording_from_terms))
+    checked = 0
+    for n in range(1, 4):
+        for A in enumerate_southwest(n):
+            assert saito_check(southwest_basis(A), A), A
+            checked += 1
+    assert checked > 10 and built == []
+
+
 def test_evaluation_point_is_off_the_full_arrangement():
     for n in range(1, 7):
         p = range(1, n + 1)

@@ -468,24 +468,32 @@ def test_parse_rejects_garbage():
     assert Polynomial.parse("+x1 - 1/2*x2", 2) == x1 - Fraction(1, 2) * x2
 
 
-def _laplace(m):
-    """Determinant by first-row Laplace expansion, the reference."""
-    if not m:
-        return 1
-    return sum(
-        (-1) ** j * m[0][j] * _laplace([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j in range(len(m))
-        if m[0][j]
-    )
+def _leibniz(m):
+    """Determinant as a sum over permutations (Leibniz), the reference."""
+    total = 0
+    for p in itertools.permutations(range(len(m))):
+        term = _perm_sign(p)
+        for i, j in enumerate(p):
+            term = term * m[i][j]
+        total = total + term
+    return total
 
 
-def test_constant_determinant_matches_laplace():
-    # 0-variable matrices go through Bareiss elimination; singular matrices
-    # and zero leading pivots (which need a row swap) are in the mix
+def _checked_determinant(m, n):
+    """matrix_determinant(m, n), asserting that it leaves m as it was."""
+    before = [list(row) for row in m]
+    det = matrix_determinant(m, n)
+    assert m == before, m
+    return det
+
+
+def test_determinant_matches_leibniz():
+    # one Bareiss loop over Q (n = 0) and over Q[x]; singular matrices and
+    # zero leading pivots (which need a row swap) are in the mix
     rng = random.Random(1601)
-    cases = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[0, 5], [0, 7]]]
+    numbers = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[0, 5], [0, 7]]]
     for _ in range(300):
-        size = rng.randint(0, 6)
+        size = rng.randint(0, 5)
         if rng.random() < 0.5:
             entry = lambda: rng.choice((0, 0, 0, 1, -1, 2, -3))
         else:
@@ -495,15 +503,32 @@ def test_constant_determinant_matches_laplace():
             m[-1] = [2 * v for v in m[0]]  # singular
         if size and rng.random() < 0.5:
             m[0][0] = 0  # the first pivot needs a swap
-        cases.append(m)
+        numbers.append(m)
     swapped = singular = 0
-    for m in cases:
-        want = _laplace(m)
-        rows = [[Polynomial.constant(0, v) for v in row] for row in m]
-        assert matrix_determinant(rows, 0) == Polynomial.constant(0, want), m
-        # the same matrix one variable up takes the Laplace route
-        lifted = [[Polynomial.constant(1, v) for v in row] for row in m]
-        assert matrix_determinant(lifted, 1) == Polynomial.constant(1, want), m
+    for m in numbers:
+        want = _leibniz(m)
+        det = _checked_determinant(m, 0)
+        assert det == want and isinstance(det, (int, Fraction)), m
         swapped += bool(m and not m[0][0] and want)
         singular += not want
     assert swapped > 20 and singular > 20
+
+    swapped = singular = 0
+    for n in (1, 2, 3):
+        x1 = Polynomial.variable(n, 1)
+        for _ in range(30):
+            size = rng.randint(0, 4)
+            m = [
+                [_random_poly(rng, n, max_deg=2, max_terms=3) for _ in range(size)]
+                for _ in range(size)
+            ]
+            if size > 1 and rng.random() < 0.3:
+                m[-1] = [x1 * v for v in m[0]]  # singular over Q[x]
+            if size and rng.random() < 0.5:
+                m[0][0] = Polynomial.zero(n)  # the first pivot needs a swap
+            want = _leibniz(m)
+            det = _checked_determinant(m, n)
+            assert det == want and isinstance(det, Polynomial) and det.n == n, m
+            swapped += bool(m and not m[0][0] and want)
+            singular += not want
+    assert swapped > 5 and singular > 5

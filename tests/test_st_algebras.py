@@ -18,7 +18,12 @@ from coinvarr.arrangements import (
 )
 from coinvarr.derivations import Derivation, saito_check
 from coinvarr.groebner import Ideal, colon
-from coinvarr.polynomials import Polynomial, clear_suite_caches, variables
+from coinvarr.polynomials import (
+    Polynomial,
+    clear_suite_caches,
+    q_integer_product,
+    variables,
+)
 from coinvarr import st_algebras
 from coinvarr.st_algebras import (
     STInstance,
@@ -27,7 +32,6 @@ from coinvarr.st_algebras import (
     colon_descent_check,
     cospan_check,
     exact_sequence_check,
-    q_integer_product,
     verify_box_basis,
     verify_skip_quotient,
 )
