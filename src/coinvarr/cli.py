@@ -327,7 +327,8 @@ def _run_southwest_quotient(n, A, cfg):
 
 
 def _plan_trichotomy(top):
-    fixtures = [(2, "empty"), (2, "line")] + [(n, "full") for n in range(1, top + 1)]
+    fixtures = [(2, "empty"), (2, "line")] if top >= 2 else []
+    fixtures += [(n, "full") for n in range(1, top + 1)]
     return [(n, f"fixture:{name}", name) for n, name in fixtures]
 
 
@@ -478,7 +479,7 @@ SUITES = {
         5,
         _plan_trichotomy,
         _run_trichotomy,
-        lambda top: top + 2,
+        lambda top: top + 2 if top >= 2 else top,
         "zero / infinite / duality classification fixtures",
     ),
     "symmetric-toolkit": Suite(
@@ -598,7 +599,8 @@ def _build_parser():
         "--n",
         type=int,
         help="largest n to sweep; a suite stops at its default n (its hard cap "
-        "under --exhaustive) and says so on stderr",
+        "under --exhaustive) and says so on stderr; southwest-quotient always "
+        "adds its pinned n = 5 example EXAMPLE5",
     )
     group = verify.add_mutually_exclusive_group()
     group.add_argument(

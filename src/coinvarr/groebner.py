@@ -22,6 +22,9 @@ when it appears.  Terms go back to exponent tuples only in the returned
 Polynomials.  normal_form keeps the packed rows of the last basis it saw,
 since callers query one basis many times in a row.
 
+An Ideal reads its quotient in one walk, standard_monomials (None when the
+quotient is infinite-dimensional); dimension and Hilbert series count it.
+
 Reduction runs over the integers (pseudo-reduction with content removal;
 Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992).  Every
 basis row is a primitive int term dict with a positive lead coefficient lc:
@@ -339,11 +342,11 @@ def groebner_basis(polys, blocks=None):
     return reduced
 
 
-# the packed rows of the last basis normal_form reduced against, as
-# [basis tuple, its degree, packing, rows]; one entry, because keeping every
-# basis packed would double the memory of the basis cache.  A packing made
-# after clear_suite_caches is a new object, so the rows are rebuilt then.
-_LAST_ROWS = [None, -1, None, None]
+# the packed rows of the last basis normal_form reduced against, as [basis
+# tuple, its ambient n (None if empty), its degree, packing, rows]; one entry,
+# because keeping every basis packed would double the memory of the basis
+# cache.  A packing made after clear_suite_caches is new, so rows rebuild then.
+_LAST_ROWS = [None, None, -1, None, None]
 
 
 def normal_form(f, basis):
@@ -353,18 +356,23 @@ def normal_form(f, basis):
     int rows of the basis; the remainder of scale * D * f is then divided by
     scale * D, so the result is the exact normal form of f.
     """
-    if not f:
-        return Polynomial.zero(f.n)
     key = tuple(basis)
     memo = _LAST_ROWS
     if memo[0] != key:
-        memo[:] = key, max((p.degree() for p in key), default=-1), None, None
-    pk = _packing_for((f.n,), max(f.degree(), memo[1]))
-    if pk is not memo[2]:
-        memo[2:] = pk, [_row(pk, pk.pack_terms(p.terms, {})) for p in key if p]
+        n = key[0].n if key else None
+        if any(p.n != n for p in key):
+            raise AmbientMismatch("basis polynomials disagree on ambient n")
+        memo[:] = key, n, max((p.degree() for p in key), default=-1), None, None
+    if f.n != memo[1] and memo[1] is not None:
+        raise AmbientMismatch("ambient mismatch")
+    if not f:
+        return Polynomial.zero(f.n)
+    pk = _packing_for((f.n,), max(f.degree(), memo[2]))
+    if pk is not memo[3]:
+        memo[3:] = pk, [_row(pk, pk.pack_terms(p.terms, {})) for p in key if p]
     names = {}
     t, den = _cleared(pk.pack_terms(f.terms, names))
-    t, scale = _nf_dict(t, _nf_heap(t), memo[3], pk)
+    t, scale = _nf_dict(t, _nf_heap(t), memo[4], pk)
     den *= scale
     return _polynomial(pk, {o: coeff_div(c, den) for o, c in t.items()}, names)
 
@@ -418,40 +426,22 @@ class Ideal:
         gb = self.groebner()
         return len(gb) == 1 and gb[0].degree() == 0
 
-    def _lead_exps(self):
-        return [g.leading()[0] for g in self.groebner()]
-
-    def box_bounds(self):
-        """Per-variable minimal pure-power lead degrees, or None if absent."""
-        bounds = [None] * self.n
-        for e in self._lead_exps():
-            support = [i for i, a in enumerate(e) if a]
-            if not support:
-                return [0] * self.n  # unit ideal
-            if len(support) == 1:
-                i = support[0]
-                if bounds[i] is None or e[i] < bounds[i]:
-                    bounds[i] = e[i]
-        return bounds
-
-    def is_artinian(self):
-        """True iff the quotient is finite-dimensional over Q.
-
-        Criterion: every variable has a pure power among the leading terms
-        of a Groebner basis (unit ideal counts, with dimension 0).
-        """
-        return None not in self.box_bounds()
-
     def standard_monomials(self):
-        """Exponent tuples of the quotient basis, grevlex-ascending.
+        """Exponent tuples of the quotient basis, grevlex-ascending, or None.
 
-        These are the monomials that no leading term divides; the ideal must
-        be Artinian, so they all fit in the box of box_bounds().
+        These are the monomials that no leading term divides.  There are
+        finitely many iff every variable has a pure power among the leads,
+        and then they all lie in the box those powers bound; otherwise the
+        quotient is infinite-dimensional and the answer is None.  The unit
+        ideal's lead 1 bounds every variable by 0, so its box is empty.
         """
-        bounds = self.box_bounds()
+        leads = [g.leading()[0] for g in self.groebner()]
+        bounds = [
+            min((e[i] for e in leads if sum(e) == e[i]), default=None)
+            for i in range(self.n)
+        ]
         if None in bounds:
-            raise ValueError("standard monomials need an Artinian ideal")
-        leads = self._lead_exps()
+            return None
         pk = _packing_for((self.n,), max([sum(bounds), *map(sum, leads)]))
         guard = pk.guard
         lead_raws = [pk.raw(pk.pack(le)) for le in leads]
@@ -464,22 +454,24 @@ class Ideal:
         out.sort()
         return [exps for _, exps in out]
 
+    def is_artinian(self):
+        """True iff the quotient is finite-dimensional over Q."""
+        return self.standard_monomials() is not None
+
     def dimension(self):
         """Vector-space dimension of the quotient, or None if infinite."""
-        if not self.is_artinian():
-            return None
-        return len(self.standard_monomials())
+        mons = self.standard_monomials()
+        return None if mons is None else len(mons)
 
     def hilbert_series(self):
-        """Tuple of graded quotient dimensions (Artinian, homogeneous only)."""
+        """Graded quotient dimensions, or None if infinite; homogeneous only."""
         for g in self.gens:
             if not g.is_homogeneous():
                 raise ValueError("Hilbert series needs homogeneous generators")
         mons = self.standard_monomials()
-        if not mons:
-            return ()
-        top = max(sum(e) for e in mons)
-        counts = [0] * (top + 1)
+        if mons is None:
+            return None
+        counts = [0] * (max(map(sum, mons), default=-1) + 1)
         for e in mons:
             counts[sum(e)] += 1
         return tuple(counts)

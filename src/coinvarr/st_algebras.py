@@ -5,12 +5,12 @@ ideal of the images theta(x1 + ... + xn) of its derivations.  With a
 certified free basis in hand the quotient is classified exactly into one of
 three mutually exclusive shapes: the zero ring, an infinite-dimensional
 ring, or an Artinian ring with palindromic Hilbert series given by the basis
-degrees.  The checks in this module lean on that classification: short
-exact sequences become Hilbert-series additivity plus one ideal identity,
-and monomial bases become rank computations against Groebner normal forms.
+degrees; the unit test and one Hilbert series tell them apart.  The checks
+in this module lean on that classification: short exact sequences become
+Hilbert-series additivity plus one ideal identity, and the box and staircase
+bases share one certificate: as many monomials as the quotient's dimension,
+with normal forms of full rank.
 """
-
-import math
 
 from .arrangements import (
     Arrangement,
@@ -25,7 +25,6 @@ from .arrangements import (
     restrict_coordinate,
     skip_arrangement,
     skip_forms_product,
-    staircase,
     staircase_monomials,
 )
 from .derivations import skip_basis, southwest_basis, st_ideal
@@ -125,9 +124,9 @@ def _classify(target, basis):
     ideal = st_ideal(target, basis)
     if ideal.is_unit():
         return STInstance(target, ideal, "zero", (), 0)
-    if not ideal.is_artinian():
-        return STInstance(target, ideal, "infinite", None, None)
     hilbert = ideal.hilbert_series()
+    if hilbert is None:
+        return STInstance(target, ideal, "infinite", None, None)
     if hilbert != q_integer_product(theta.degree() for theta in basis):
         raise ArithmeticError("Hilbert series disagrees with the basis degrees")
     if tuple(hilbert) != tuple(reversed(hilbert)):
@@ -191,34 +190,38 @@ def exact_sequence_check(inst):
 # -- monomial bases ----------------------------------------------------------
 
 
+def _is_monomial_basis(ideal, exps, dimension):
+    """True iff the checked exponent tuples exps give a basis of S / ideal:
+    there are dimension of them, and their normal forms have full rank.
+    """
+    if len(exps) != dimension:
+        return False
+    rows = [ideal.normal_form(Polynomial._from_terms(ideal.n, {e: 1})) for e in exps]
+    return rank_of_elements(rows) == dimension
+
+
 def verify_box_basis(inst):
     """Check the box monomials under the column counts form a quotient basis.
 
     inst is classify(A) for an essential arrangement A.  Its quotient must be
-    Artinian of dimension prod(h_i), and the normal forms of the box
-    monomials must be linearly independent; with matching count that makes
-    them a basis.
+    Artinian, and the box monomials must be a basis of it; the dimension is
+    read from inst, so the quotient is not walked again.
     """
     A = _arrangement(inst)
     if not is_essential(A):
         raise ValueError("box bases are stated for essential arrangements")
     if inst.tag != "poincare-duality":
         return False
-    h = column_counts(A)
-    exps = box_monomials(h)
-    if len(exps) != inst.dimension:
-        return False
-    # box_monomials yields checked exponent tuples
-    rows = [inst.ideal.normal_form(Polynomial._from_terms(A.n, {e: 1})) for e in exps]
-    return rank_of_elements(rows) == len(exps)
+    exps = box_monomials(column_counts(A))
+    return _is_monomial_basis(inst.ideal, exps, inst.dimension)
 
 
 def verify_skip_quotient(skips, n):
     """Check the staircase monomials against the colon-ideal quotient.
 
     When 1 is skipped the colon ideal must be the whole ring and there is
-    nothing to span.  Otherwise the quotient dimension must equal the
-    staircase product and the staircase monomials must be independent there.
+    nothing to span.  Otherwise the staircase monomials, as many as the
+    staircase product, must be a basis of the quotient.
     """
     skips = frozenset(skips)
     quotient = colon(
@@ -227,13 +230,7 @@ def verify_skip_quotient(skips, n):
     if 1 in skips:
         return quotient.is_unit()
     exps = staircase_monomials(skips, n)
-    count = math.prod(staircase(skips, n))
-    if len(exps) != count:
-        return False
-    if quotient.dimension() != count:
-        return False
-    rows = [quotient.normal_form(Polynomial._from_terms(n, {e: 1})) for e in exps]
-    return rank_of_elements(rows) == count
+    return _is_monomial_basis(quotient, exps, quotient.dimension())
 
 
 # -- complement span ---------------------------------------------------------

@@ -240,6 +240,14 @@ def test_n_caps_symmetric_toolkit():
     assert all(r["n"] == 1 for r in reports)
 
 
+def test_n_caps_trichotomy():
+    # the zero and infinite fixtures live at n = 2, so --n 1 plans neither
+    reports = run_suite("trichotomy", RunConfig(n=1))
+    assert reports
+    assert all(r["n"] == 1 for r in reports)
+    assert {r["instance"] for r in reports} == {"fixture:full"}
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_plan_keys_are_distinct(name):
     # sampling and the report sort order tasks by (n, key) alone

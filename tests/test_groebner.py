@@ -20,6 +20,7 @@ from coinvarr.groebner import (
     s_polynomial,
 )
 from coinvarr.polynomials import (
+    AmbientMismatch,
     Polynomial,
     clear_suite_caches,
     coeff_div,
@@ -287,6 +288,22 @@ def test_normal_form_fixture():
     assert normal_form(Polynomial.one(2), gb) == 1
 
 
+def test_normal_form_rejects_a_mixed_ambient_n():
+    # with mixed n the packing would zip exponent tuples of different
+    # lengths and return a wrong normal form instead of raising
+    (y1,) = variables(1)
+    x1, x2 = variables(2)
+    with pytest.raises(AmbientMismatch):
+        normal_form(y1, [x1 + x2])
+    with pytest.raises(AmbientMismatch):
+        normal_form(x1 * x2, [y1])
+    with pytest.raises(AmbientMismatch):
+        normal_form(x1, [x1 + x2, y1])
+    # the empty basis of the zero ideal fits every n
+    assert normal_form(y1, []) == y1
+    assert normal_form(x1 * x2, []) == x1 * x2
+
+
 def test_s_polynomial_reduces_to_zero_inside_basis():
     x1, x2 = variables(2)
     gb = groebner_basis([x1 + x2, x1 * x2])
@@ -379,8 +396,34 @@ def test_artinian_detection():
     assert Ideal(2, [x1**2, x2**3]).dimension() == 6
     assert not Ideal(2, [x1]).is_artinian()
     assert not Ideal(2, [x1**2, x1 * x2]).is_artinian()
-    with pytest.raises(ValueError):
-        Ideal(2, [x1]).standard_monomials()
+    assert Ideal(2, [x1]).standard_monomials() is None
+
+
+def test_one_walk_answers_every_quotient_question():
+    # unit, zero, non-Artinian and Artinian: is_artinian, dimension and
+    # hilbert_series all agree with standard_monomials
+    x1, x2, x3 = variables(3)
+    cases = {
+        "unit": (Ideal(3, [2 * Polynomial.one(3), x1]), 0),
+        "zero": (Ideal(3, []), None),
+        "line": (Ideal(3, [x1, x2]), None),
+        "coinvariant": (Ideal(3, coinvariant_generators(3)), 6),
+        "box": (Ideal(3, [x1**2, x2**3, x3, x1 * x2]), 4),
+    }
+    for name, (I, want) in cases.items():
+        mons = I.standard_monomials()
+        assert I.is_artinian() == (mons is not None), name
+        assert I.dimension() == want, name
+        series = I.hilbert_series()
+        if mons is None:
+            assert want is None and series is None, name
+        else:
+            assert len(mons) == want and sum(series) == want, name
+            assert mons == sorted(mons, key=grevlex_key, reverse=True), name
+            for e in mons:  # a standard monomial is its own normal form
+                m = Polynomial.monomial(3, e)
+                assert I.normal_form(m) == m, name
+    assert Ideal(3, [Polynomial.one(3)]).hilbert_series() == ()
 
 
 def test_coinvariant_hilbert_series():

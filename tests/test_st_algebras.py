@@ -275,6 +275,33 @@ def test_box_basis_sweep_n3():
         assert verify_box_basis(classify(A))
 
 
+# a monomial list with a repeat has the right count and a rank one short;
+# a list missing one monomial has the count one short
+_BROKEN_BASES = {
+    "repeat": lambda exps: exps[:-1] + exps[:1],
+    "drop": lambda exps: exps[:-1],
+}
+
+
+@pytest.mark.parametrize("break_basis", _BROKEN_BASES.values(), ids=_BROKEN_BASES)
+def test_box_basis_certificate_can_fail(monkeypatch, break_basis):
+    inst = classify(EXAMPLE5)
+    assert verify_box_basis(inst)
+    real = st_algebras.box_monomials
+    monkeypatch.setattr(st_algebras, "box_monomials", lambda h: break_basis(real(h)))
+    assert not verify_box_basis(inst)
+
+
+@pytest.mark.parametrize("break_basis", _BROKEN_BASES.values(), ids=_BROKEN_BASES)
+def test_skip_quotient_certificate_can_fail(monkeypatch, break_basis):
+    assert verify_skip_quotient({2, 4}, 4)
+    real = st_algebras.staircase_monomials
+    monkeypatch.setattr(
+        st_algebras, "staircase_monomials", lambda J, n: break_basis(real(J, n))
+    )
+    assert not verify_skip_quotient({2, 4}, 4)
+
+
 def test_southwest_checks_require_an_arrangement():
     # box bases and additivity are statements about arrangements, not about
     # an explicit list of forms such as the line x1 + x2 = 0
