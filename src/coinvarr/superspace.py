@@ -13,13 +13,14 @@ rows for each ideal piece, ranks over the rationals (rank_of_elements, from
 the polynomial core), and the staircase monomial family as a candidate
 basis, certified in one pass over the bidegree grid.
 
-The rows of a piece are few.  I is generated by the power sums p_k and
-their total derivatives dp_k; with P the ideal of Q[x] that the p_k
-generate, I_(i, j) = P_i (x) Lambda^j + sum_k dp_k * Omega_(i-k+1, j-1).
-One echelon of each P_d gives its pivot rows and its standard monomials
-(those holding no pivot).  Any x^a minus its reduction onto the standard
-monomials lies in P, and P * Omega lies in I, so the pivot rows times each
-t_J together with dp_k * x^s * t_J' for standard x^s span exactly I_(i, j).
+The linear algebra runs modulo P, the ideal of Q[x] that the power sums
+p_k generate.  P's reduced grevlex Groebner basis is h_k(x_k, ..., x_n),
+k = 1..n (coinvariant_basis certifies it), so its standard monomials are
+the staircase monomials x^a with a_k < k, of degree at most C(n, 2).  I is
+generated by the p_k and their total derivatives dp_k, and P * Omega lies
+in I, so the quotient in bidegree (i, j) is (Q[x]/P)_i (x) Lambda^j modulo
+the normal forms of dp_k * x^s * t_J' for standard x^s: any x^a minus its
+normal form lies in P.
 """
 
 from __future__ import annotations
@@ -29,15 +30,19 @@ from fractions import Fraction
 from math import comb
 
 from .arrangements import staircase_monomials, subsets
-from .polynomials import (
-    AmbientMismatch,
-    Polynomial,
-    echelon_rows,
-    grevlex_key,
-    monomial_factors,
-    rank_of_elements,
-)
+from .groebner import normal_form
+from .polynomials import AmbientMismatch, Polynomial, monomial_factors, rank_of_elements
 from .symmetric import complete, power_sum
+
+
+def _thetas(thetas, n):
+    """thetas as a tuple, checked strictly increasing within 1..n."""
+    thetas = tuple(thetas)
+    if any(a >= b for a, b in zip(thetas, thetas[1:])):
+        raise ValueError("t-indices must be strictly increasing")
+    if thetas and not (1 <= thetas[0] and thetas[-1] <= n):
+        raise ValueError("t-index out of range")
+    return thetas
 
 
 class SuperMonomial:
@@ -47,16 +52,10 @@ class SuperMonomial:
 
     def __init__(self, exps, thetas):
         exps = tuple(exps)
-        thetas = tuple(thetas)
-        n = len(exps)
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent")
-        if list(thetas) != sorted(set(thetas)):
-            raise ValueError("t-indices must be strictly increasing")
-        if thetas and not (1 <= thetas[0] and thetas[-1] <= n):
-            raise ValueError("t-index out of range")
         self.exps = exps
-        self.thetas = thetas
+        self.thetas = _thetas(thetas, len(exps))
 
     @property
     def n(self):
@@ -90,7 +89,11 @@ def _merge_sign(a, b):
 
 
 class SuperElement:
-    """Finite sum of p_J * t_J, stored as parts: ascending J -> nonzero p_J."""
+    """Finite sum of p_J * t_J, stored as parts: ascending J -> nonzero p_J.
+
+    Each key J must be strictly increasing within 1..n, so that it names one
+    exterior monomial and _merge_sign reads its sign correctly.
+    """
 
     __slots__ = ("n", "parts")
 
@@ -98,6 +101,7 @@ class SuperElement:
         self.n = n
         clean = {}
         for thetas, p in (parts or {}).items():
+            thetas = _thetas(thetas, n)
             if not isinstance(p, Polynomial):
                 raise TypeError(f"expected Polynomial part, got {type(p).__name__}")
             if p.n != n:
@@ -122,8 +126,6 @@ class SuperElement:
 
     @classmethod
     def theta(cls, n, i):
-        if not 1 <= i <= n:
-            raise ValueError(f"t-index {i} out of range")
         return cls(n, {(i,): Polynomial.one(n)})
 
     @property
@@ -207,73 +209,66 @@ def invariant_generators(n):
     return gens
 
 
-def dim_bidegree(n, i, j):
-    """Dimension of the full bidegree-(i, j) piece of the tensor ring."""
-    if i < 0 or j < 0 or j > n:
-        return 0
-    return comb(n, j) * comb(i + n - 1, n - 1)
+def coinvariant_basis(n):
+    """The reduced grevlex Groebner basis of P = <p_1, ..., p_n> in closed
+    form, and its certificate: returns (basis, ok).
 
-
-def commutative_echelons(n, gens, top):
-    """Echelon of each degree piece P_d, d <= top, of the ideal P of Q[x]
-    that the t-free generators in gens generate: a list indexed by d of pairs
-    (pivot rows as Polynomials, standard monomials).
-
-    P_d is spanned by the products p * x^b of degree d; echelon_rows turns
-    them into one pivot row per dimension.  The standard monomials of
-    degree d are those that hold no pivot, grevlex-descending; every
-    monomial of degree d is congruent modulo P_d to a combination of them.
+    The basis is g_k = h_k(x_k, ..., x_n), k = 1..n.  ok certifies three
+    things.  The lead of g_k is x_k^k, so the leads are pairwise coprime and
+    the g_k are a Groebner basis of the ideal they generate (Buchberger's
+    first criterion); its standard monomials are then the x^a with a_k < k,
+    staircase_monomials((), n).  Each p_k has normal form 0, so P lies in
+    that ideal.  Each g_k lies in the span of the degree-k products
+    p_m * x^b, so the ideal lies in P.
     """
-    polys = [g.parts[()] for g in gens if g.bidegree()[1] == 0]
-    out = []
-    for d in range(top + 1):
+    basis = [complete(k, n, range(k, n + 1)) for k in range(1, n + 1)]
+    powers = [power_sum(k, n) for k in range(1, n + 1)]
+    ok = all(
+        g.leading()[0] == tuple(k if m == k else 0 for m in range(1, n + 1))
+        for k, g in enumerate(basis, 1)
+    )
+    ok = ok and not any(normal_form(p, basis) for p in powers)
+    for k, g in enumerate(basis, 1):
         products = [
             p * Polynomial._from_terms(n, {b: 1})
-            for p in polys
-            for b in complete(d - p.degree(), n).terms
+            for m, p in enumerate(powers[:k], 1)
+            for b in complete(k - m, n).terms
         ]
-        pivots = echelon_rows(products)
-        leads = {min(row) for row in pivots}
-        standard = sorted(
-            (e for e in complete(d, n).terms if e not in leads), key=grevlex_key
-        )
-        out.append(([Polynomial._from_terms(n, row) for row in pivots], standard))
-    return out
+        ok = ok and rank_of_elements(products) == rank_of_elements(products + [g])
+    return basis, ok
 
 
-def invariant_ideal_rows(n, i, j, gens, echelons):
-    """Spanning set of the bidegree-(i, j) piece I_(i, j) of the ideal
-    generated by gens = invariant_generators(n), of about its dimension;
-    echelons = commutative_echelons(n, gens, top) for some top >= i.
+def invariant_ideal_rows(n, i, j, gens, standard, basis):
+    """Spanning rows of the image of the bidegree-(i, j) piece I_(i, j) of
+    the ideal generated by gens = invariant_generators(n) in
+    (Q[x]/P)_i (x) Lambda^j; basis is coinvariant_basis(n)'s, and
+    standard[d] lists its standard monomials of degree d.
 
-    With P the ideal of Q[x] generated by the power sums p_k,
-    I_(i, j) = P_i (x) Lambda^j + sum_k dp_k * Omega_(i-k+1, j-1), where
-    Omega is the whole ring.  The rows are (a) every pivot row of P_i times
-    every t_J, first, and (b) dp_k * x^s * t_J' for every standard monomial
-    x^s of degree i-k+1.  The span is unchanged: x^a minus its reduction
-    onto the standard monomials lies in P, and P * Omega lies in the ideal,
-    so the products dp_k * x^a * t_J' that (b) leaves out are combinations
-    of (b) rows and rows of P_i (x) Lambda^j.  The (a) rows have distinct
-    pivots (pivot monomial, J) that are each row's smallest key, so they
-    enter the elimination of rank_of_elements without any reduction.
+    The rows are dp_k * x^s * t_J' for every standard x^s of degree i-k+1,
+    each with every t-part replaced by its normal form modulo basis.  They
+    span the image: P * Omega lies in the ideal, where Omega is the whole
+    ring, so the p_k (x) Lambda^j rows vanish modulo P, and x^a minus its
+    normal form lies in P, so dp_k * x^a * t_J' is congruent to a
+    combination of the rows.
     """
-    thetas = range(1, n + 1)
-    rows = [
-        SuperElement(n, {J: q})
-        for J in itertools.combinations(thetas, j)
-        for q in echelons[i][0]
-    ]
+    rows = []
     if j < 1:
         return rows
     for g in gens:
         gi, gj = g.bidegree()
         if gj != 1 or gi > i:
             continue
-        standard = echelons[i - gi][1]
-        for J in itertools.combinations(thetas, j - 1):
-            for s in standard:
-                rows.append(g * SuperElement.monomial(SuperMonomial(s, J)))
+        for J in itertools.combinations(range(1, n + 1), j - 1):
+            for s in standard[i - gi]:
+                row = g * SuperElement.monomial(SuperMonomial(s, J))
+                rows.append(_modulo(row, basis))
     return rows
+
+
+def _modulo(omega, basis):
+    """omega with every t-part replaced by its normal form modulo basis."""
+    parts = omega.parts.items()
+    return SuperElement(omega.n, {J: normal_form(p, basis) for J, p in parts})
 
 
 def fubini(n):
@@ -309,38 +304,42 @@ def sr_basis_certificate(n):
     """Quotient dimensions per bidegree, and whether the decorated staircase
     monomials form a quotient basis: returns (table, ok).
 
-    The echelons of the commutative pieces P_d are built once per n; one
-    pass over the bidegree grid then builds each ideal piece once.  Its rank
-    gives the table entry dim_bidegree - rank.  The candidate monomials of
-    the bidegree must match that count, and stacked on the piece they must
-    span the whole bidegree; with the matching count that makes them
-    independent modulo the ideal.  The candidates go first, so that the
-    elimination can stop once every column holds a pivot.  The grand total
-    must match the ordered-set-partition count.
+    The work runs in (Q[x]/P) (x) Lambda: the columns of bidegree (i, j) are
+    x^s * t_J for the standard monomials x^s of coinvariant_basis(n) of
+    degree i, and ok needs that basis certified.  One pass over the bidegree
+    grid builds each ideal piece once.  Its rank gives the table entry: the
+    column count minus the rank.  The candidate monomials of the bidegree,
+    each x^a * t_J entering as its normal form times t_J, must match that
+    count, and stacked on the piece they must span every column; with the
+    matching count that makes them independent modulo the ideal.  The
+    candidates go first, so that the elimination can stop once every column
+    holds a pivot.  The grand total must match the ordered-set-partition
+    count.
 
-    The grid stops at x-degree top = C(n, 2), and the quotient vanishes
-    above it: P has no standard monomial of degree top + 1, so P holds every
-    monomial of x-degree above top, and P * Omega lies in the ideal.
+    The grid stops at x-degree C(n, 2), the top standard degree; the
+    quotient vanishes above it, because Q[x]/P does.
     """
     mons = artin_monomials(n)
     buckets = {}
     for m in mons:
         buckets.setdefault(m.bidegree(), []).append(m)
     top = n * (n - 1) // 2
+    basis, ok = coinvariant_basis(n)
+    standard = [[] for _ in range(top + 1)]
+    for s in staircase_monomials((), n):
+        standard[sum(s)].append(s)
     gens = invariant_generators(n)
-    echelons = commutative_echelons(n, gens, top + 1)
     table = {}
-    ok = not echelons[top + 1][1]
     for i in range(top + 1):
         for j in range(n + 1):
-            dim = dim_bidegree(n, i, j)
-            rows = invariant_ideal_rows(n, i, j, gens, echelons)
+            dim = len(standard[i]) * comb(n, j)
+            rows = invariant_ideal_rows(n, i, j, gens, standard, basis)
             table[(i, j)] = dim - rank_of_elements(rows)
             candidates = buckets.get((i, j), [])
             if len(candidates) != table[(i, j)]:
                 ok = False
             elif candidates and ok:
-                monos = [SuperElement.monomial(m) for m in candidates]
+                monos = [_modulo(SuperElement.monomial(m), basis) for m in candidates]
                 ok = rank_of_elements(monos + rows) == dim
             del rows  # release the piece before the next one is built
     return table, ok and sum(table.values()) == len(mons) == fubini(n)

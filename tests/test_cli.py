@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coinvarr import cli, st_algebras, superspace
+from coinvarr import cli, derivations, groebner, st_algebras, superspace
 from coinvarr.arrangements import full_arrangement
 from coinvarr.cli import (
     RunConfig,
@@ -20,7 +20,12 @@ from coinvarr.cli import (
     run_suite,
 )
 from coinvarr.groebner import Ideal
-from coinvarr.polynomials import _SUITE_CACHES, Polynomial, vandermonde
+from coinvarr.polynomials import (
+    _SUITE_CACHES,
+    Polynomial,
+    clear_suite_caches,
+    vandermonde,
+)
 from coinvarr.st_algebras import classify
 from coinvarr.superspace import invariant_ideal_rows, rank_of_elements
 
@@ -282,7 +287,8 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
 
 def test_super_basis_task_ranks_each_piece_once(monkeypatch):
     # 16 ideal pieces at n = 3, each built once; one rank per piece plus one
-    # stacked rank per bidegree of the 8 that hold candidate monomials
+    # stacked rank per bidegree of the 8 that hold candidate monomials, and
+    # two per element of the closed-form basis (its membership in P)
     calls = []
     built = []
 
@@ -290,16 +296,30 @@ def test_super_basis_task_ranks_each_piece_once(monkeypatch):
         calls.append(len(elements))
         return rank_of_elements(elements)
 
-    def counted_rows(n, i, j, gens, echelons):
+    def counted_rows(n, i, j, gens, standard, basis):
         built.append((i, j))
-        return invariant_ideal_rows(n, i, j, gens, echelons)
+        return invariant_ideal_rows(n, i, j, gens, standard, basis)
 
     monkeypatch.setattr(superspace, "rank_of_elements", counted)
     monkeypatch.setattr(superspace, "invariant_ideal_rows", counted_rows)
     rows = SUITES["super-basis"].run(3, 3, RunConfig())
     assert rows == [("sr-basis", True, True), ("sr-dimension", 13, 13)]
-    assert len(calls) == 24
+    assert len(calls) == 16 + 8 + 2 * 3
     assert len(built) == len(set(built)) == 16
+
+
+def test_super_basis_makes_no_groebner_or_saito_call(monkeypatch):
+    # the superspace certificate reduces against its closed-form basis and
+    # never runs Buchberger or a Saito check
+    def forbidden(*args, **kwargs):
+        raise AssertionError("super-basis must not call this")
+
+    clear_suite_caches()  # no cached basis may stand in for a call
+    monkeypatch.setattr(groebner, "groebner_basis", forbidden)
+    for module in (derivations, cli):  # cli binds saito_check by name
+        monkeypatch.setattr(module, "saito_check", forbidden)
+    rows = SUITES["super-basis"].run(3, 3, RunConfig())
+    assert rows == [("sr-basis", True, True), ("sr-dimension", 13, 13)]
 
 
 def test_task_exception_becomes_error_row(monkeypatch, tmp_path):

@@ -26,7 +26,7 @@ ALLOWED = {
     "groebner": {"polynomials"},
     "arrangements": {"polynomials"},
     "derivations": {"arrangements", "groebner", "polynomials"},
-    "superspace": {"arrangements", "polynomials", "symmetric"},
+    "superspace": {"arrangements", "groebner", "polynomials", "symmetric"},
     "st_algebras": {"arrangements", "derivations", "groebner", "polynomials", "symmetric"},
     "cli": None,
 }

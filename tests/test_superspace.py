@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from coinvarr import superspace
+from coinvarr.arrangements import staircase_monomials
 from coinvarr.groebner import Ideal
 from coinvarr.polynomials import (
     AmbientMismatch,
@@ -20,8 +21,7 @@ from coinvarr.superspace import (
     SuperElement,
     SuperMonomial,
     artin_monomials,
-    commutative_echelons,
-    dim_bidegree,
+    coinvariant_basis,
     euler_d,
     fubini,
     invariant_generators,
@@ -29,6 +29,13 @@ from coinvarr.superspace import (
     sr_basis_certificate,
 )
 from coinvarr.symmetric import coinvariant_generators, complete, power_sum
+
+
+def dim_bidegree(n, i, j):
+    """Dimension of the full bidegree-(i, j) piece of the tensor ring."""
+    if i < 0 or j < 0 or j > n:
+        return 0
+    return math.comb(n, j) * math.comb(i + n - 1, n - 1)
 
 
 def super_monomials(n, i, j):
@@ -54,11 +61,28 @@ def all_products_rows(n, i, j, gens):
     return rows
 
 
+def _standard(n):
+    """Standard monomials of the coinvariant basis, listed by degree."""
+    standard = [[] for _ in range(n * (n - 1) // 2 + 1)]
+    for s in staircase_monomials((), n):
+        standard[sum(s)].append(s)
+    return standard
+
+
 def _piece(n, i, j):
-    """invariant_ideal_rows(n, i, j) with the generators and echelons built
-    here, as sr_basis_certificate builds them once per n."""
-    gens = invariant_generators(n)
-    return invariant_ideal_rows(n, i, j, gens, commutative_echelons(n, gens, i))
+    """invariant_ideal_rows(n, i, j) with the generators, the basis and its
+    standard monomials built here, as sr_basis_certificate builds them once
+    per n."""
+    basis, ok = coinvariant_basis(n)
+    assert ok
+    return invariant_ideal_rows(n, i, j, invariant_generators(n), _standard(n), basis)
+
+
+def _reduce(omega):
+    """omega with each t-part reduced modulo the coinvariant ideal, through
+    the Buchberger basis of e_1..e_n rather than the closed form."""
+    ideal = Ideal(omega.n, coinvariant_generators(omega.n))
+    return SuperElement(omega.n, {J: ideal.normal_form(p) for J, p in omega.parts.items()})
 
 
 def _x(n, i):
@@ -139,6 +163,22 @@ def test_multiply_sign_fixtures():
     assert prod == SuperElement(n, {(1, 2): Polynomial.monomial(n, (1, 1))})
     with pytest.raises(AmbientMismatch):
         t1 * _t(3, 1)
+
+
+def test_malformed_t_keys_are_rejected():
+    # t3 * t2t1 is -t1t2t3; a key (2, 1) would give it the sign of t3 * t1t2
+    n = 3
+    one = Polynomial.one(n)
+    with pytest.raises(ValueError):
+        SuperElement(n, {(3,): one}) * SuperElement(n, {(2, 1): one})
+    for key in ((2, 1), (1, 1), (4,), (0,)):
+        with pytest.raises(ValueError):
+            SuperElement(n, {key: one})
+        with pytest.raises(ValueError):
+            SuperElement(n, {key: Polynomial.zero(n)})
+    with pytest.raises(ValueError):
+        SuperElement.theta(n, 4)
+    assert _t(n, 3) * (_t(n, 2) * _t(n, 1)) == -SuperElement(n, {(1, 2, 3): one})
 
 
 def test_parts_are_polynomials_with_exact_coefficients():
@@ -369,9 +409,9 @@ def test_ideal_pieces_cross_checked_against_dense_rank():
 
 
 def test_rows_span_the_all_products_piece():
-    # the basis-sized rows span exactly what every generator x monomial
-    # product spans: every bidegree at n <= 3, the largest n = 4 piece
-    # (6, 2), and (6, 3) and (5, 2) of the next size
+    # modulo P, the basis-sized rows span exactly what every generator x
+    # monomial product spans: every bidegree at n <= 3, the largest n = 4
+    # piece (6, 2), and (6, 3) and (5, 2) of the next size
     cases = [
         (n, i, j)
         for n in (1, 2, 3)
@@ -381,62 +421,73 @@ def test_rows_span_the_all_products_piece():
     cases += [(4, 6, 2), (4, 6, 3), (4, 5, 2)]
     for n, i, j in cases:
         new = _piece(n, i, j)
-        old = all_products_rows(n, i, j, invariant_generators(n))
+        old = [_reduce(r) for r in all_products_rows(n, i, j, invariant_generators(n))]
         rank = rank_of_elements(new)
         assert rank == rank_of_elements(old) == rank_of_elements(new + old), (n, i, j)
 
 
+def test_table_matches_the_dense_all_products_oracle():
+    # the table against dense elimination of every generator x monomial
+    # product in the whole ring, with no normal form anywhere; one degree
+    # past C(n, 2) the products fill every bidegree
+    for n in (1, 2, 3):
+        gens = invariant_generators(n)
+        table, ok = sr_basis_certificate(n)
+        top = n * (n - 1) // 2
+        assert ok and set(table) == {(i, j) for i in range(top + 1) for j in range(n + 1)}
+        for i in range(top + 2):
+            for j in range(n + 1):
+                rank = _dense_rank(all_products_rows(n, i, j, gens))
+                assert table.get((i, j), 0) == dim_bidegree(n, i, j) - rank, (n, i, j)
+
+
 def test_piece_rows_stay_basis_sized():
-    # at n = 4 the pieces take 4206 rows in all, against 10551 generator x
+    # at n = 4 the pieces take 1230 rows in all, against 10551 generator x
     # monomial products; a return to all products fails here
     n = 4
     top = n * (n - 1) // 2
-    gens = invariant_generators(n)
-    echelons = commutative_echelons(n, gens, top)
-    sizes = [
-        len(invariant_ideal_rows(n, i, j, gens, echelons))
-        for i in range(top + 1)
-        for j in range(n + 1)
-    ]
-    assert sum(sizes) == 4206
+    sizes = [len(_piece(n, i, j)) for i in range(top + 1) for j in range(n + 1)]
+    assert sum(sizes) == 1230
 
 
-def test_commutative_echelons_split_each_degree():
-    # pivots and standard monomials partition the monomials of each degree,
-    # and the standard ones count the coinvariant Hilbert series
-    # (Mahonian numbers: [3]_q! = 1 + 2q + 2q^2 + q^3 at n = 3)
-    n = 3
-    gens = invariant_generators(n)
-    echelons = commutative_echelons(n, gens, 4)
-    for d, (pivots, standard) in enumerate(echelons):
-        monos = set(complete(d, n).terms)
-        leads = {min(p.terms) for p in pivots}
-        assert len(leads) == len(pivots)
-        assert leads | set(standard) == monos and not leads & set(standard)
-    assert [len(standard) for _, standard in echelons] == [1, 2, 2, 1, 0]
+def test_coinvariant_basis_matches_buchberger():
+    # the closed form is the reduced basis Buchberger finds for e_1..e_n, its
+    # standard monomials are the staircase, and they count the coinvariant
+    # Hilbert series (Mahonian numbers: [3]_q! = 1 + 2q + 2q^2 + q^3)
+    for n in range(1, 6):
+        basis, ok = coinvariant_basis(n)
+        ideal = Ideal(n, coinvariant_generators(n))
+        assert ok and basis == ideal.groebner(), n
+        assert set(ideal.standard_monomials()) == set(staircase_monomials((), n)), n
+    assert [len(d) for d in _standard(3)] == [1, 2, 2, 1]
+    assert [len(d) for d in _standard(4)] == [1, 3, 5, 6, 5, 3, 1]
 
 
 def test_ideal_piece_fixtures():
-    # n = 1: the ideal swallows everything in positive degree
-    rows = _piece(1, 1, 0)
-    assert rank_of_elements(rows) == dim_bidegree(1, 1, 0) == 1
-    # n = 2, bidegree (0,1): the single row t1+t2, codimension 1
+    # columns are standard monomials times t_J: n = 1 has none in degree 1
+    assert _piece(1, 1, 0) == [] and _standard(1) == [[(0,)]]
+    # n = 2, bidegree (0, 1): the single row t1 + t2 among 2 columns
     rows = _piece(2, 0, 1)
-    assert rank_of_elements(rows) == 1
-    assert dim_bidegree(2, 0, 1) - 1 == 1
-    # n = 3, bidegree (0,2): codimension 1
-    rows = _piece(3, 0, 2)
-    assert dim_bidegree(3, 0, 2) - rank_of_elements(rows) == 1
+    assert rows == [_t(2, 1) + _t(2, 2)]
+    # n = 3, bidegree (0, 2): rank 2 among 3 columns, codimension 1
+    assert rank_of_elements(_piece(3, 0, 2)) == 2
+    # no row carries a term outside the standard columns
+    for i, degree in enumerate(_standard(3)):
+        for j in range(4):
+            for row in _piece(3, i, j):
+                assert {e for e, _ in row.terms} <= set(degree), (i, j)
 
 
 def test_ideal_pieces_are_symmetric_group_stable():
+    # the image of the ideal modulo P is stable under S_n, once the acted
+    # rows are reduced again
     for n in (2, 3):
-        for i in range(3):
+        for i in range(n * (n - 1) // 2 + 1):
             for j in range(n + 1):
                 rows = _piece(n, i, j)
                 base = rank_of_elements(rows)
                 for w in itertools.permutations(range(1, n + 1)):
-                    acted = [sn_act(w, r) for r in rows]
+                    acted = [_reduce(sn_act(w, r)) for r in rows]
                     assert rank_of_elements(rows + acted) == base
 
 
@@ -517,13 +568,13 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
     assert ok
     good = artin_monomials(n)
     # at (2, 0) the right number of candidates can still be dependent
-    # modulo the ideal piece; find such a set by brute force
+    # modulo P; find such a set by brute force
     rows = _piece(n, 2, 0)
-    dim = dim_bidegree(n, 2, 0)
+    dim = len(_standard(n)[2])
     dependent = next(
         list(combo)
         for combo in itertools.combinations(super_monomials(n, 2, 0), table[(2, 0)])
-        if rank_of_elements([SuperElement.monomial(m) for m in combo] + rows) < dim
+        if rank_of_elements([_reduce(SuperElement.monomial(m)) for m in combo] + rows) < dim
     )
     swapped = [m for m in good if m.bidegree() != (2, 0)] + dependent
     assert len(swapped) == len(good)
@@ -534,24 +585,64 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
     assert sr_basis_certificate(n) == (table, False)
 
 
-def test_sr_basis_certificate_checks_vanishing_above_top(monkeypatch):
-    # the grid stops at x-degree C(n, 2); the certificate also needs P to
-    # swallow degree C(n, 2) + 1, so one standard monomial left there fails it
+def test_sr_basis_certificate_fails_on_broken_rows(monkeypatch):
+    # dropping dp_n, or losing the sign of t_a * t_b, changes the ideal pieces
     n = 3
-    top = 3
+    real_gens = superspace.invariant_generators
+    monkeypatch.setattr(superspace, "invariant_generators", lambda k: real_gens(k)[:-1])
+    assert not sr_basis_certificate(n)[1]
+    monkeypatch.undo()
+    real_sign = superspace._merge_sign
+
+    def unsigned(a, b):
+        sign, merged = real_sign(a, b)
+        return abs(sign), merged
+
+    monkeypatch.setattr(superspace, "_merge_sign", unsigned)
+    assert not sr_basis_certificate(n)[1]
+
+
+def _bent_complete(monkeypatch, key, extra):
+    """Make superspace's complete(d, n, A) return h_d(A) + extra for key."""
+    real = superspace.complete
+
+    def bent(d, n, A=None):
+        h = real(d, n, A)
+        return h + extra if (d, n, tuple(A or ())) == key else h
+
+    monkeypatch.setattr(superspace, "complete", bent)
+
+
+def test_sr_basis_certificate_needs_the_closed_form_basis(monkeypatch):
+    # h_2(x2, x3) + x3^2 keeps the lead x2^2 but leaves P
+    n = 3
+    _bent_complete(monkeypatch, (2, n, (2, 3)), Polynomial.monomial(n, (0, 0, 2)))
+    assert not coinvariant_basis(n)[1]
+    assert not sr_basis_certificate(n)[1]
+    # with p_3 replaced by x1 * p_2, every p_k still reduces to 0 and the
+    # leads are right, but the p_k generate less than the basis: x3^3 is no
+    # combination of the degree-3 products, so only the span check fails
+    monkeypatch.undo()
+    real = superspace.power_sum
+    x1p2 = Polynomial.variable(n, 1) * real(2, n)
+    monkeypatch.setattr(
+        superspace, "power_sum", lambda k, m: x1p2 if (k, m) == (3, n) else real(k, m)
+    )
+    assert not coinvariant_basis(n)[1]
+
+
+def test_sr_basis_certificate_checks_vanishing_above_top(monkeypatch):
+    # the grid stops at x-degree C(n, 2); the quotient vanishes above it only
+    # because the basis leaves no standard monomial there, so a basis whose
+    # last element is x3^4 (in P, but it leaves x2*x3^3 of degree 4) fails
+    n = 3
     table, ok = sr_basis_certificate(n)
-    assert ok and max(i for i, _ in table) == top
-    real = superspace.commutative_echelons
-
-    def leaky(n, gens, upto):
-        echelons = real(n, gens, upto)
-        pivots, standard = echelons[top + 1]
-        assert upto == top + 1 and not standard
-        echelons[top + 1] = (pivots[1:], [min(pivots[0].terms)])
-        return echelons
-
-    monkeypatch.setattr(superspace, "commutative_echelons", leaky)
-    assert sr_basis_certificate(n) == (table, False)
+    assert ok and max(i for i, _ in table) == 3
+    x3 = Polynomial.variable(n, 3)
+    _bent_complete(monkeypatch, (3, n, (3,)), x3**4 - x3**3)
+    basis, ok = coinvariant_basis(n)
+    assert basis[-1] == x3**4 and not ok
+    assert not sr_basis_certificate(n)[1]
 
 
 def test_stacked_rank_check_has_teeth():
