@@ -9,9 +9,10 @@ Polynomial arithmetic, and _merge_sign is the one place the sign of t_a*t_b
 is computed.  Everything is bigraded by (polynomial degree, anticommuting
 degree).  The quotient by the ideal I of positive-degree diagonal-symmetric
 elements is studied through exact per-bidegree linear algebra: spanning
-rows for each ideal piece, ranks over the rationals (rank_of_elements, from
-the polynomial core), and the staircase monomial family as a candidate
-basis, certified in one pass over the bidegree grid.
+rows for each ideal piece, one fraction-free elimination of each piece over
+the rationals (echelon_rows and rank_of_elements, from the polynomial
+core), and the staircase monomial family as a candidate basis, certified in
+one pass over the bidegree grid.
 
 The linear algebra runs modulo P, the ideal of Q[x] that the power sums
 p_k generate.  P's reduced grevlex Groebner basis is h_k(x_k, ..., x_n),
@@ -20,7 +21,9 @@ the staircase monomials x^a with a_k < k, of degree at most C(n, 2).  I is
 generated by the p_k and their total derivatives dp_k, and P * Omega lies
 in I, so the quotient in bidegree (i, j) is (Q[x]/P)_i (x) Lambda^j modulo
 the normal forms of dp_k * x^s * t_J' for standard x^s: any x^a minus its
-normal form lies in P.
+normal form lies in P.  Those rows are written directly from their parts:
+the part k * x_m^(k-1) * x^s of dp_k * x^s is reduced once, and signed into
+the row of every t-set J' that misses m, so no row is formed as a product.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from math import comb
 
 from .arrangements import staircase_monomials, subsets
 from .groebner import normal_form
-from .polynomials import AmbientMismatch, Polynomial, monomial_factors, rank_of_elements
+from .polynomials import (
+    AmbientMismatch,
+    Polynomial,
+    echelon_rows,
+    monomial_factors,
+    rank_of_elements,
+)
 from .symmetric import complete, power_sum
 
 
@@ -250,6 +259,13 @@ def invariant_ideal_rows(n, i, j, gens, standard, basis):
     ring, so the p_k (x) Lambda^j rows vanish modulo P, and x^a minus its
     normal form lies in P, so dp_k * x^a * t_J' is congruent to a
     combination of the rows.
+
+    Each row is written directly, without forming the product: dp_k has one
+    part k * x_m^(k-1) * t_m per m, the part m of dp_k * x^s * t_J' is
+    that part times x^s, signed by _merge_sign((m,), J') and absent when m
+    lies in J', and the normal form is linear.  So every part of dp_k times
+    x^s is reduced once and shared by all the t-sets J'.  The rows come
+    ordered by generator, then J', then x^s.
     """
     rows = []
     if j < 1:
@@ -258,10 +274,21 @@ def invariant_ideal_rows(n, i, j, gens, standard, basis):
         gi, gj = g.bidegree()
         if gj != 1 or gi > i:
             continue
+        reduced = [
+            [
+                (tm, normal_form(p * Polynomial._from_terms(n, {s: 1}), basis))
+                for tm, p in g.parts.items()
+            ]
+            for s in standard[i - gi]
+        ]
         for J in itertools.combinations(range(1, n + 1), j - 1):
-            for s in standard[i - gi]:
-                row = g * SuperElement.monomial(SuperMonomial(s, J))
-                rows.append(_modulo(row, basis))
+            for parts in reduced:
+                row = {}
+                for tm, nf in parts:
+                    sign, merged = _merge_sign(tm, J)
+                    if sign:
+                        row[merged] = nf if sign > 0 else -nf
+                rows.append(SuperElement(n, row))
     return rows
 
 
@@ -269,6 +296,16 @@ def _modulo(omega, basis):
     """omega with every t-part replaced by its normal form modulo basis."""
     parts = omega.parts.items()
     return SuperElement(omega.n, {J: normal_form(p, basis) for J, p in parts})
+
+
+class _Row:
+    """A pivot row of echelon_rows, {(exps, J): int}, as an element with
+    a terms dict, so that it can be stacked under other rows."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
 
 
 def fubini(n):
@@ -307,14 +344,14 @@ def sr_basis_certificate(n):
     The work runs in (Q[x]/P) (x) Lambda: the columns of bidegree (i, j) are
     x^s * t_J for the standard monomials x^s of coinvariant_basis(n) of
     degree i, and ok needs that basis certified.  One pass over the bidegree
-    grid builds each ideal piece once.  Its rank gives the table entry: the
-    column count minus the rank.  The candidate monomials of the bidegree,
-    each x^a * t_J entering as its normal form times t_J, must match that
-    count, and stacked on the piece they must span every column; with the
-    matching count that makes them independent modulo the ideal.  The
-    candidates go first, so that the elimination can stop once every column
-    holds a pivot.  The grand total must match the ordered-set-partition
-    count.
+    grid builds and eliminates each ideal piece once.  Its pivot rows give
+    the table entry: the column count minus their number.  The candidate
+    monomials of the bidegree, each x^a * t_J entering as its normal form
+    times t_J, must match that count, and stacked on the pivot rows, which
+    span the piece, they must span every column; with the matching count
+    that makes them independent modulo the ideal.  The candidates go first,
+    so that the elimination can stop once every column holds a pivot.  The
+    grand total must match the ordered-set-partition count.
 
     The grid stops at x-degree C(n, 2), the top standard degree; the
     quotient vanishes above it, because Q[x]/P does.
@@ -333,13 +370,13 @@ def sr_basis_certificate(n):
     for i in range(top + 1):
         for j in range(n + 1):
             dim = len(standard[i]) * comb(n, j)
-            rows = invariant_ideal_rows(n, i, j, gens, standard, basis)
-            table[(i, j)] = dim - rank_of_elements(rows)
+            pivots = echelon_rows(invariant_ideal_rows(n, i, j, gens, standard, basis))
+            table[(i, j)] = dim - len(pivots)
             candidates = buckets.get((i, j), [])
             if len(candidates) != table[(i, j)]:
                 ok = False
             elif candidates and ok:
                 monos = [_modulo(SuperElement.monomial(m), basis) for m in candidates]
-                ok = rank_of_elements(monos + rows) == dim
-            del rows  # release the piece before the next one is built
+                ok = rank_of_elements(monos + [_Row(p) for p in pivots]) == dim
+            del pivots  # release the piece before the next one is built
     return table, ok and sum(table.values()) == len(mons) == fubini(n)

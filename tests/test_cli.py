@@ -24,6 +24,7 @@ from coinvarr.polynomials import (
     _SUITE_CACHES,
     Polynomial,
     clear_suite_caches,
+    echelon_rows,
     vandermonde,
 )
 from coinvarr.st_algebras import classify
@@ -286,26 +287,63 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
 
 
 def test_super_basis_task_ranks_each_piece_once(monkeypatch):
-    # 16 ideal pieces at n = 3, each built once; one rank per piece plus one
-    # stacked rank per bidegree of the 8 that hold candidate monomials, and
-    # two per element of the closed-form basis (its membership in P)
+    # 16 ideal pieces at n = 3, each built once and eliminated once; one
+    # stacked rank (candidates on the piece's pivots) per bidegree of the 8
+    # that hold candidate monomials, and two ranks per element of the
+    # closed-form basis (its membership in P)
     calls = []
+    eliminated = []
     built = []
 
     def counted(elements):
         calls.append(len(elements))
         return rank_of_elements(elements)
 
+    def counted_echelon(elements):
+        eliminated.append(len(elements))
+        return echelon_rows(elements)
+
     def counted_rows(n, i, j, gens, standard, basis):
         built.append((i, j))
         return invariant_ideal_rows(n, i, j, gens, standard, basis)
 
     monkeypatch.setattr(superspace, "rank_of_elements", counted)
+    monkeypatch.setattr(superspace, "echelon_rows", counted_echelon)
     monkeypatch.setattr(superspace, "invariant_ideal_rows", counted_rows)
     rows = SUITES["super-basis"].run(3, 3, RunConfig())
     assert rows == [("sr-basis", True, True), ("sr-dimension", 13, 13)]
-    assert len(calls) == 16 + 8 + 2 * 3
+    assert len(eliminated) == 16
+    assert len(calls) == 8 + 2 * 3
     assert len(built) == len(set(built)) == 16
+
+
+def test_super_basis_reaches_the_traced_heavy_layers(monkeypatch):
+    # the benchmark's super-basis workload requires calls to these three;
+    # the ideal rows are written without SuperElement.__mul__, so only
+    # euler_d, inside invariant_generators, still reaches it
+    seen = []
+    in_euler_d = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append((name, any(in_euler_d)))
+            in_euler_d.append(name == "euler_d")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_euler_d.pop()
+
+        return wrapper
+
+    for name in ("invariant_ideal_rows", "rank_of_elements", "euler_d"):
+        monkeypatch.setattr(superspace, name, counting(name, getattr(superspace, name)))
+    mul = counting("__mul__", superspace.SuperElement.__mul__)
+    monkeypatch.setattr(superspace.SuperElement, "__mul__", mul)
+    rows = SUITES["super-basis"].run(3, 3, RunConfig())
+    assert rows == [("sr-basis", True, True), ("sr-dimension", 13, 13)]
+    names = {name for name, _ in seen}
+    assert {"invariant_ideal_rows", "rank_of_elements", "__mul__"} <= names
+    assert all(inside for name, inside in seen if name == "__mul__")
 
 
 def test_super_basis_makes_no_groebner_or_saito_call(monkeypatch):

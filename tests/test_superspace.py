@@ -9,7 +9,7 @@ import pytest
 
 from coinvarr import superspace
 from coinvarr.arrangements import staircase_monomials
-from coinvarr.groebner import Ideal
+from coinvarr.groebner import Ideal, normal_form
 from coinvarr.polynomials import (
     AmbientMismatch,
     Polynomial,
@@ -424,6 +424,54 @@ def test_rows_span_the_all_products_piece():
         old = [_reduce(r) for r in all_products_rows(n, i, j, invariant_generators(n))]
         rank = rank_of_elements(new)
         assert rank == rank_of_elements(old) == rank_of_elements(new + old), (n, i, j)
+
+
+def product_rows(n, i, j, gens, standard, basis):
+    """Oracle for invariant_ideal_rows: each row formed as the product
+    dp_k * x^s * t_J' and then reduced part by part, in the same order."""
+    rows = []
+    if j < 1:
+        return rows
+    for g in gens:
+        gi, gj = g.bidegree()
+        if gj != 1 or gi > i:
+            continue
+        for J in itertools.combinations(range(1, n + 1), j - 1):
+            for s in standard[i - gi]:
+                row = g * SuperElement.monomial(SuperMonomial(s, J))
+                parts = {K: normal_form(p, basis) for K, p in row.parts.items()}
+                rows.append(SuperElement(n, parts))
+    return rows
+
+
+def test_rows_match_the_reduced_products_row_by_row():
+    # the rows are written from once-reduced parts; the normal form is
+    # linear, so each must equal the reduced product, in the same place
+    for n in (1, 2, 3):
+        basis = coinvariant_basis(n)[0]
+        gens = invariant_generators(n)
+        standard = _standard(n)
+        for i in range(n * (n - 1) // 2 + 1):
+            for j in range(n + 1):
+                rows = invariant_ideal_rows(n, i, j, gens, standard, basis)
+                oracle = product_rows(n, i, j, gens, standard, basis)
+                assert rows == oracle, (n, i, j)
+
+
+def test_certificate_reduces_each_part_once(monkeypatch):
+    # one normal form per part of dp_k * x^s, shared by every t-set J', plus
+    # the candidates and the basis check: 142 at n = 3 (184 when every row
+    # reduced its own product)
+    calls = []
+    real = superspace.normal_form
+
+    def counted(f, basis):
+        calls.append(f)
+        return real(f, basis)
+
+    monkeypatch.setattr(superspace, "normal_form", counted)
+    assert sr_basis_certificate(3)[1]
+    assert len(calls) == 142
 
 
 def test_table_matches_the_dense_all_products_oracle():
