@@ -552,36 +552,36 @@ def matrix_determinant(rows, n):
     return sign * m[-1][-1] if size else one
 
 
-def echelon_rows(elements):
-    """Pivot rows of a fraction-free echelon form of the span of elements.
+def echelon_rows(rows):
+    """Pivot rows of a fraction-free echelon form of the span of rows.
 
-    The elements are Polynomials, SuperElements or anything else with a
-    terms dict from comparable monomial keys to rational coefficients.
+    Each row is a term dict from comparable keys to rational coefficients:
+    a Polynomial's terms, or a superspace row {(exps, J): coefficient}.
     Returns one primitive integer row {key: int} per pivot, in the order the
     pivots were found; a row's pivot is its smallest key, and no two rows
-    share one, so the rows are independent and span the elements' span.
+    share one, so the rows are independent and span the rows' span.
 
-    Each element's terms are read once: scaled to integers by the lcm of its
-    denominators, they are held as a row over column numbers in first-seen
-    order.  Once every key is known, each row is renumbered as it is taken
-    up, so that columns run in the keys' natural tuple order and lookups
-    hash small ints.  Rows are reduced by sparse elimination
-    (row = a*row - b*pivot, with a and b coprime), and a row that reaches a
-    free column is stored primitive as that column's pivot.  Nonzero row
-    scaling leaves the span unchanged, so the result is exact.  Once every
-    column holds a pivot the remaining rows can only reduce to zero, so
-    elimination stops there.
+    Each row is read once: its zero entries dropped and the rest scaled to
+    integers by the lcm of their denominators, it is held as a row over
+    column numbers in first-seen order.  Once every key is known, each row
+    is renumbered as it is taken up, so that columns run in the keys'
+    natural tuple order and lookups hash small ints.  Rows are reduced by
+    sparse elimination (row = a*row - b*pivot, with a and b coprime), and a
+    row that reaches a free column is stored primitive as that column's
+    pivot.  Nonzero row scaling leaves the span unchanged, so the result is
+    exact.  Once every column holds a pivot the remaining rows can only
+    reduce to zero, so elimination stops there.
     """
     index = {}
     number = index.setdefault  # a key's column number, in first-seen order
     scaled = []
-    for elem in elements:
-        terms = elem.terms
+    for terms in rows:
         scale = lcm(*(c.denominator for c in terms.values()))
         scaled.append(
             {
                 number(key, len(index)): c.numerator * (scale // c.denominator)
                 for key, c in terms.items()
+                if c
             }
         )
     keys = sorted(index)
@@ -621,6 +621,6 @@ def echelon_rows(elements):
 
 
 def rank_of_elements(elements):
-    """Rank over the rationals of the span of the given elements: the number
-    of pivot rows echelon_rows finds."""
-    return len(echelon_rows(elements))
+    """Rank over the rationals of the span of the given elements, each with
+    a terms dict: the number of pivot rows echelon_rows finds."""
+    return len(echelon_rows([e.terms for e in elements]))

@@ -7,12 +7,13 @@ of t-indices, so an element is a finite sum of p_J * t_J and is stored as
 the dict J -> nonzero Polynomial p_J; all coefficient arithmetic is
 Polynomial arithmetic, and _merge_sign is the one place the sign of t_a*t_b
 is computed.  Everything is bigraded by (polynomial degree, anticommuting
-degree).  The quotient by the ideal I of positive-degree diagonal-symmetric
-elements is studied through exact per-bidegree linear algebra: spanning
-rows for each ideal piece, one fraction-free elimination of each piece over
-the rationals (echelon_rows and rank_of_elements, from the polynomial
-core), and the staircase monomial family as a candidate basis, certified in
-one pass over the bidegree grid.
+degree).  SuperElement and euler_d define the generators d(p_k); the
+quotient by the ideal I of positive-degree diagonal-symmetric elements is
+then studied through exact per-bidegree linear algebra on term-dict rows
+{(exps, J): coefficient}: spanning rows for each ideal piece, one
+fraction-free elimination of each piece over the rationals (echelon_rows,
+from the polynomial core), and the staircase monomial family as a candidate
+basis, certified in one pass over the bidegree grid.
 
 The linear algebra runs modulo P, the ideal of Q[x] that the power sums
 p_k generate.  P's reduced grevlex Groebner basis is h_k(x_k, ..., x_n),
@@ -22,14 +23,16 @@ generated by the p_k and their total derivatives dp_k, and P * Omega lies
 in I, so the quotient in bidegree (i, j) is (Q[x]/P)_i (x) Lambda^j modulo
 the normal forms of dp_k * x^s * t_J' for standard x^s: any x^a minus its
 normal form lies in P.  Those rows are written directly from their parts:
-the part k * x_m^(k-1) * x^s of dp_k * x^s is reduced once, and signed into
-the row of every t-set J' that misses m, so no row is formed as a product.
+reduced_parts reduces each part k * x_m^(k-1) * x^s of dp_k * x^s once per
+x-degree i, and invariant_ideal_rows signs it into the row of every t-set
+J' that misses m, for every j, so no row is formed as a product.  A
+candidate x^a * t_J has a standard x^a, so it is its own normal form and
+enters as the unit row {(a, J): 1}.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 from .arrangements import staircase_monomials, subsets
@@ -65,10 +68,6 @@ class SuperMonomial:
             raise ValueError("negative exponent")
         self.exps = exps
         self.thetas = _thetas(thetas, len(exps))
-
-    @property
-    def n(self):
-        return len(self.exps)
 
     def bidegree(self):
         return (sum(self.exps), len(self.thetas))
@@ -124,26 +123,12 @@ class SuperElement:
         return cls(n)
 
     @classmethod
-    def monomial(cls, mono):
-        # mono.exps is already a checked exponent tuple
-        p = Polynomial._from_terms(mono.n, {mono.exps: 1})
-        return cls(mono.n, {mono.thetas: p})
-
-    @classmethod
     def from_polynomial(cls, p):
         return cls(p.n, {(): p})
 
     @classmethod
     def theta(cls, n, i):
         return cls(n, {(i,): Polynomial.one(n)})
-
-    @property
-    def terms(self):
-        """Flat read-only view {(exps, J): coefficient}, one entry per term."""
-        return {(e, J): c for J, p in self.parts.items() for e, c in p.terms.items()}
-
-    def __bool__(self):
-        return bool(self.parts)
 
     def __eq__(self, other):
         if not isinstance(other, SuperElement):
@@ -160,12 +145,7 @@ class SuperElement:
             out[thetas] = out[thetas] + p if thetas in out else p
         return SuperElement(self.n, out)
 
-    def __neg__(self):
-        return SuperElement(self.n, {J: -p for J, p in self.parts.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SuperElement(self.n, {J: p * other for J, p in self.parts.items()})
         if not isinstance(other, SuperElement):
             return NotImplemented
         if other.n != self.n:
@@ -178,11 +158,6 @@ class SuperElement:
                     p = sign * (pa * pb)
                     out[merged] = out[merged] + p if merged in out else p
         return SuperElement(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def bidegree(self):
         degs = {(sum(e), len(J)) for J, p in self.parts.items() for e in p.terms}
@@ -247,65 +222,68 @@ def coinvariant_basis(n):
     return basis, ok
 
 
-def invariant_ideal_rows(n, i, j, gens, standard, basis):
-    """Spanning rows of the image of the bidegree-(i, j) piece I_(i, j) of
-    the ideal generated by gens = invariant_generators(n) in
-    (Q[x]/P)_i (x) Lambda^j; basis is coinvariant_basis(n)'s, and
-    standard[d] lists its standard monomials of degree d.
+def reduced_parts(n, i, gens, standard, basis):
+    """The parts of the products dp_k * x^s of x-degree i, each reduced once
+    modulo basis, for invariant_ideal_rows; gens = invariant_generators(n),
+    basis is coinvariant_basis(n)'s, and standard[d] lists its standard
+    monomials of degree d.
 
-    The rows are dp_k * x^s * t_J' for every standard x^s of degree i-k+1,
-    each with every t-part replaced by its normal form modulo basis.  They
-    span the image: P * Omega lies in the ideal, where Omega is the whole
-    ring, so the p_k (x) Lambda^j rows vanish modulo P, and x^a minus its
-    normal form lies in P, so dp_k * x^a * t_J' is congruent to a
-    combination of the rows.
-
-    Each row is written directly, without forming the product: dp_k has one
-    part k * x_m^(k-1) * t_m per m, the part m of dp_k * x^s * t_J' is
-    that part times x^s, signed by _merge_sign((m,), J') and absent when m
-    lies in J', and the normal form is linear.  So every part of dp_k times
-    x^s is reduced once and shared by all the t-sets J'.  The rows come
-    ordered by generator, then J', then x^s.
+    dp_k has one part k * x_m^(k-1) * t_m per m, so dp_k * x^s has the part
+    k * x_m^(k-1) * x^s * t_m.  Returns one list per dp_k with k-1 <= i,
+    holding one list per standard x^s of degree i-k+1 (in standard's order)
+    of the pairs ((m,), terms), where terms is the term dict of the normal
+    form of k * x_m^(k-1) * x^s.
     """
-    rows = []
-    if j < 1:
-        return rows
+    reduced = []
     for g in gens:
         gi, gj = g.bidegree()
         if gj != 1 or gi > i:
             continue
-        reduced = [
+        reduced.append(
             [
-                (tm, normal_form(p * Polynomial._from_terms(n, {s: 1}), basis))
-                for tm, p in g.parts.items()
+                [
+                    (tm, normal_form(p * Polynomial._from_terms(n, {s: 1}), basis).terms)
+                    for tm, p in g.parts.items()
+                ]
+                for s in standard[i - gi]
             ]
-            for s in standard[i - gi]
-        ]
+        )
+    return reduced
+
+
+def invariant_ideal_rows(n, j, reduced):
+    """Spanning rows of the image of the bidegree-(i, j) piece I_(i, j) of
+    the ideal generated by invariant_generators(n) in
+    (Q[x]/P)_i (x) Lambda^j, as term dicts {(exps, J): coefficient}; reduced
+    is reduced_parts(n, i, ...).
+
+    The rows are dp_k * x^s * t_J' for every standard x^s of degree i-k+1,
+    each with every t-part replaced by its normal form modulo P.  They span
+    the image: P * Omega lies in the ideal, where Omega is the whole ring,
+    so the p_k (x) Lambda^j rows vanish modulo P, and x^a minus its normal
+    form lies in P, so dp_k * x^a * t_J' is congruent to a combination of
+    the rows.
+
+    Each row is written directly, without forming the product: its part m
+    is the part m of dp_k * x^s times t_J', signed by _merge_sign((m,), J')
+    and absent when m lies in J', and the normal form is linear.  So every
+    part is reduced once, by reduced_parts, and shared by all the t-sets J'
+    of every j.  The rows come ordered by generator, then J', then x^s.
+    """
+    rows = []
+    if j < 1:
+        return rows
+    for by_s in reduced:
         for J in itertools.combinations(range(1, n + 1), j - 1):
-            for parts in reduced:
+            for parts in by_s:
                 row = {}
-                for tm, nf in parts:
+                for tm, terms in parts:
                     sign, merged = _merge_sign(tm, J)
                     if sign:
-                        row[merged] = nf if sign > 0 else -nf
-                rows.append(SuperElement(n, row))
+                        for e, c in terms.items():
+                            row[e, merged] = c if sign > 0 else -c
+                rows.append(row)
     return rows
-
-
-def _modulo(omega, basis):
-    """omega with every t-part replaced by its normal form modulo basis."""
-    parts = omega.parts.items()
-    return SuperElement(omega.n, {J: normal_form(p, basis) for J, p in parts})
-
-
-class _Row:
-    """A pivot row of echelon_rows, {(exps, J): int}, as an element with
-    a terms dict, so that it can be stacked under other rows."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
 
 
 def fubini(n):
@@ -344,14 +322,16 @@ def sr_basis_certificate(n):
     The work runs in (Q[x]/P) (x) Lambda: the columns of bidegree (i, j) are
     x^s * t_J for the standard monomials x^s of coinvariant_basis(n) of
     degree i, and ok needs that basis certified.  One pass over the bidegree
-    grid builds and eliminates each ideal piece once.  Its pivot rows give
-    the table entry: the column count minus their number.  The candidate
-    monomials of the bidegree, each x^a * t_J entering as its normal form
-    times t_J, must match that count, and stacked on the pivot rows, which
-    span the piece, they must span every column; with the matching count
-    that makes them independent modulo the ideal.  The candidates go first,
-    so that the elimination can stop once every column holds a pivot.  The
-    grand total must match the ordered-set-partition count.
+    grid reduces the parts of each x-degree once, and builds and eliminates
+    each ideal piece once.  Its pivot rows give the table entry: the column
+    count minus their number.  Each candidate x^a * t_J must have a_k < k
+    for every k, so that x^a is standard and the candidate enters as the
+    unit row {(a, J): 1}.  The candidates of the bidegree must match the
+    table entry, and stacked on the pivot rows, which span the piece, they
+    must span every column; with the matching count that makes them
+    independent modulo the ideal.  The candidates go first, so that the
+    elimination can stop once every column holds a pivot.  The grand total
+    must match the ordered-set-partition count.
 
     The grid stops at x-degree C(n, 2), the top standard degree; the
     quotient vanishes above it, because Q[x]/P does.
@@ -359,24 +339,25 @@ def sr_basis_certificate(n):
     mons = artin_monomials(n)
     buckets = {}
     for m in mons:
-        buckets.setdefault(m.bidegree(), []).append(m)
+        buckets.setdefault(m.bidegree(), []).append({(m.exps, m.thetas): 1})
     top = n * (n - 1) // 2
     basis, ok = coinvariant_basis(n)
+    ok = ok and all(a < k for m in mons for k, a in enumerate(m.exps, 1))
     standard = [[] for _ in range(top + 1)]
     for s in staircase_monomials((), n):
         standard[sum(s)].append(s)
     gens = invariant_generators(n)
     table = {}
     for i in range(top + 1):
+        reduced = reduced_parts(n, i, gens, standard, basis)
         for j in range(n + 1):
             dim = len(standard[i]) * comb(n, j)
-            pivots = echelon_rows(invariant_ideal_rows(n, i, j, gens, standard, basis))
+            pivots = echelon_rows(invariant_ideal_rows(n, j, reduced))
             table[(i, j)] = dim - len(pivots)
             candidates = buckets.get((i, j), [])
             if len(candidates) != table[(i, j)]:
                 ok = False
             elif candidates and ok:
-                monos = [_modulo(SuperElement.monomial(m), basis) for m in candidates]
-                ok = rank_of_elements(monos + [_Row(p) for p in pivots]) == dim
+                ok = len(echelon_rows(candidates + pivots)) == dim
             del pivots  # release the piece before the next one is built
     return table, ok and sum(table.values()) == len(mons) == fubini(n)

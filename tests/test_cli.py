@@ -28,7 +28,7 @@ from coinvarr.polynomials import (
     vandermonde,
 )
 from coinvarr.st_algebras import classify
-from coinvarr.superspace import invariant_ideal_rows, rank_of_elements
+from coinvarr.superspace import invariant_ideal_rows, rank_of_elements, reduced_parts
 
 
 def test_canon_values():
@@ -287,33 +287,41 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
 
 
 def test_super_basis_task_ranks_each_piece_once(monkeypatch):
-    # 16 ideal pieces at n = 3, each built once and eliminated once; one
-    # stacked rank (candidates on the piece's pivots) per bidegree of the 8
-    # that hold candidate monomials, and two ranks per element of the
-    # closed-form basis (its membership in P)
+    # 4 x-degrees at n = 3, whose parts are each reduced once; 16 ideal
+    # pieces, each built once and eliminated once, and one stacked
+    # elimination (candidates on the piece's pivots) per bidegree of the 8
+    # that hold candidate monomials; the only ranks are two per element of
+    # the closed-form basis (its membership in P)
     calls = []
     eliminated = []
+    degrees = []
     built = []
 
     def counted(elements):
         calls.append(len(elements))
         return rank_of_elements(elements)
 
-    def counted_echelon(elements):
-        eliminated.append(len(elements))
-        return echelon_rows(elements)
+    def counted_echelon(rows):
+        eliminated.append(len(rows))
+        return echelon_rows(rows)
 
-    def counted_rows(n, i, j, gens, standard, basis):
-        built.append((i, j))
-        return invariant_ideal_rows(n, i, j, gens, standard, basis)
+    def counted_parts(n, i, gens, standard, basis):
+        degrees.append(i)
+        return reduced_parts(n, i, gens, standard, basis)
+
+    def counted_rows(n, j, reduced):
+        built.append((degrees[-1], j))
+        return invariant_ideal_rows(n, j, reduced)
 
     monkeypatch.setattr(superspace, "rank_of_elements", counted)
     monkeypatch.setattr(superspace, "echelon_rows", counted_echelon)
+    monkeypatch.setattr(superspace, "reduced_parts", counted_parts)
     monkeypatch.setattr(superspace, "invariant_ideal_rows", counted_rows)
     rows = SUITES["super-basis"].run(3, 3, RunConfig())
     assert rows == [("sr-basis", True, True), ("sr-dimension", 13, 13)]
-    assert len(eliminated) == 16
-    assert len(calls) == 8 + 2 * 3
+    assert degrees == [0, 1, 2, 3]
+    assert len(eliminated) == 16 + 8
+    assert len(calls) == 2 * 3
     assert len(built) == len(set(built)) == 16
 
 

@@ -26,6 +26,7 @@ from coinvarr.superspace import (
     fubini,
     invariant_generators,
     invariant_ideal_rows,
+    reduced_parts,
     sr_basis_certificate,
 )
 from coinvarr.symmetric import coinvariant_generators, complete, power_sum
@@ -50,6 +51,38 @@ def super_monomials(n, i, j):
     return out
 
 
+def _mono(mono, c=1):
+    """The element c * x^exps * t_J of a SuperMonomial."""
+    n = len(mono.exps)
+    return SuperElement(n, {mono.thetas: Polynomial.monomial(n, mono.exps, c)})
+
+
+def _scale(omega, c):
+    """The scalar multiple c * omega."""
+    return SuperElement(omega.n, {J: p * c for J, p in omega.parts.items()})
+
+
+def _terms(x):
+    """x as a row {(exps, J): coefficient}: a row as it is, an element
+    flattened part by part."""
+    if isinstance(x, dict):
+        return x
+    return {(e, J): c for J, p in x.parts.items() for e, c in p.terms.items()}
+
+
+def _element(n, row):
+    """The element of a row {(exps, J): coefficient}."""
+    parts = {}
+    for (e, J), c in row.items():
+        parts.setdefault(J, {})[e] = c
+    return SuperElement(n, {J: Polynomial(n, terms) for J, terms in parts.items()})
+
+
+def _rank(xs):
+    """Rank over the rationals of rows and elements alike."""
+    return len(echelon_rows([_terms(x) for x in xs]))
+
+
 def all_products_rows(n, i, j, gens):
     """Oracle spanning set of the bidegree-(i, j) ideal piece: every
     generator times every monomial of the complementary bidegree."""
@@ -57,7 +90,7 @@ def all_products_rows(n, i, j, gens):
     for g in gens:
         gi, gj = g.bidegree()
         for m in super_monomials(n, i - gi, j - gj):
-            rows.append(g * SuperElement.monomial(m))
+            rows.append(g * _mono(m))
     return rows
 
 
@@ -70,12 +103,13 @@ def _standard(n):
 
 
 def _piece(n, i, j):
-    """invariant_ideal_rows(n, i, j) with the generators, the basis and its
-    standard monomials built here, as sr_basis_certificate builds them once
-    per n."""
+    """The rows of the bidegree-(i, j) piece, with the generators, the basis
+    and its standard monomials built here, as sr_basis_certificate builds
+    them once per n."""
     basis, ok = coinvariant_basis(n)
     assert ok
-    return invariant_ideal_rows(n, i, j, invariant_generators(n), _standard(n), basis)
+    reduced = reduced_parts(n, i, invariant_generators(n), _standard(n), basis)
+    return invariant_ideal_rows(n, j, reduced)
 
 
 def _reduce(omega):
@@ -124,8 +158,7 @@ def _random_element(rng, n, max_deg=3, terms=4, coeff=lambda rng: rng.randint(-3
         thetas = tuple(
             sorted(i for i in range(1, n + 1) if rng.random() < 0.4)
         )
-        mono = SuperMonomial(tuple(exps), thetas)
-        out = out + SuperElement.monomial(mono) * coeff(rng)
+        out = out + _mono(SuperMonomial(tuple(exps), thetas), coeff(rng))
     return out
 
 
@@ -136,7 +169,7 @@ def _random_bihomogeneous(rng, n):
     out = SuperElement.zero(n)
     for m in mons:
         if rng.random() < 0.5:
-            out = out + SuperElement.monomial(m) * rng.randint(-2, 2)
+            out = out + _mono(m, rng.randint(-2, 2))
     return out, i, j
 
 
@@ -156,7 +189,7 @@ def test_super_monomial_basics():
 def test_multiply_sign_fixtures():
     n = 2
     t1, t2 = _t(n, 1), _t(n, 2)
-    assert t2 * t1 == -(t1 * t2)
+    assert t2 * t1 == _scale(t1 * t2, -1)
     assert t1 * t1 == SuperElement.zero(n)
     x1, x2 = _x(n, 1), _x(n, 2)
     prod = (x1 * t1) * (x2 * t2)
@@ -178,20 +211,21 @@ def test_malformed_t_keys_are_rejected():
             SuperElement(n, {key: Polynomial.zero(n)})
     with pytest.raises(ValueError):
         SuperElement.theta(n, 4)
-    assert _t(n, 3) * (_t(n, 2) * _t(n, 1)) == -SuperElement(n, {(1, 2, 3): one})
+    assert _t(n, 3) * (_t(n, 2) * _t(n, 1)) == SuperElement(n, {(1, 2, 3): -one})
 
 
 def test_parts_are_polynomials_with_exact_coefficients():
-    mono = SuperMonomial((1, 0), (2,))
     with pytest.raises(TypeError):
-        SuperElement.monomial(mono) * 0.5
+        _mono(SuperMonomial((1, 0), (2,))) * 0.5
+    with pytest.raises(TypeError):
+        SuperElement(2, {(1,): Fraction(1, 2)})
     with pytest.raises(AmbientMismatch):
         SuperElement(2, {(): Polynomial.one(3)})
     assert SuperElement(2, {(1,): Polynomial.zero(2)}) == SuperElement.zero(2)
     rows = _piece(3, 2, 1)
     assert rows
     for row in rows:
-        assert all(type(c) is int for c in row.terms.values())
+        assert all(type(c) is int for c in row.values())
     # the t-free parts multiply exactly as Polynomials do
     rng = random.Random(19)
     for _ in range(25):
@@ -223,7 +257,7 @@ def test_multiply_associative_and_supercommutative():
         n = rng.randint(1, 3)
         a, _, ja = _random_bihomogeneous(rng, n)
         b, _, jb = _random_bihomogeneous(rng, n)
-        assert a * b == (-1) ** (ja * jb) * (b * a)
+        assert a * b == _scale(b * a, (-1) ** (ja * jb))
 
 
 def test_euler_d_fixtures():
@@ -233,7 +267,7 @@ def test_euler_d_fixtures():
     p2 = SuperElement.from_polynomial(power_sum(2, n))
     expected = SuperElement.zero(n)
     for i in range(1, n + 1):
-        expected = expected + 2 * (_x(n, i) * _t(n, i))
+        expected = expected + _scale(_x(n, i) * _t(n, i), 2)
     assert euler_d(p2) == expected
     one = SuperElement.from_polynomial(Polynomial.one(n))
     assert euler_d(one) == SuperElement.zero(n)
@@ -254,14 +288,14 @@ def test_euler_d_super_leibniz():
         a, _, ja = _random_bihomogeneous(rng, n)
         b, _, _ = _random_bihomogeneous(rng, n)
         lhs = euler_d(a * b)
-        rhs = euler_d(a) * b + (-1) ** ja * (a * euler_d(b))
+        rhs = euler_d(a) * b + _scale(a * euler_d(b), (-1) ** ja)
         assert lhs == rhs
 
 
 def test_sn_act_fixtures():
     n = 2
     t1t2 = _t(n, 1) * _t(n, 2)
-    assert sn_act((2, 1), t1t2) == -t1t2
+    assert sn_act((2, 1), t1t2) == _scale(t1t2, -1)
     omega = _x(n, 1) * _t(n, 2)
     assert sn_act((1, 2), omega) == omega
     assert sn_act((2, 1), omega) == _x(n, 2) * _t(n, 1)
@@ -289,14 +323,14 @@ def test_invariant_generators_are_invariant():
                 assert sn_act(w, g) == g
 
 
-def _dense_rank(elements):
+def _dense_rank(rows):
     # independent oracle: dense Gaussian elimination with row pivoting
-    cols = sorted({key for e in elements for key in e.terms})
+    cols = sorted({key for terms in rows for key in terms})
     idx = {key: k for k, key in enumerate(cols)}
     m = []
-    for e in elements:
+    for terms in rows:
         row = [Fraction(0)] * len(cols)
-        for key, c in e.terms.items():
+        for key, c in terms.items():
             row[idx[key]] = c
         m.append(row)
     rank = 0
@@ -315,25 +349,25 @@ def _dense_rank(elements):
 
 
 class _Row:
-    """A bare terms dict as an element, to feed echelon rows back in."""
+    """A term dict as an object with .terms, for rank_of_elements."""
 
     def __init__(self, terms):
         self.terms = terms
 
 
-def _assert_rank(elems):
-    # rank_of_elements and echelon_rows against the dense oracle: the pivot
+def _assert_rank(rows):
+    # echelon_rows and rank_of_elements against the dense oracle: the pivot
     # rows are primitive integer rows with distinct pivots (smallest keys)
-    # that span the elements' span
-    rank = _dense_rank(elems)
-    pivots = echelon_rows(elems)
-    assert rank_of_elements(elems) == len(pivots) == rank
+    # that span the rows' span
+    rank = _dense_rank(rows)
+    pivots = echelon_rows(rows)
+    assert rank_of_elements([_Row(row) for row in rows]) == len(pivots) == rank
     leads = [min(row) for row in pivots]
     assert len(set(leads)) == len(leads)
     for row in pivots:
         assert all(type(v) is int and v for v in row.values())
         assert math.gcd(*row.values()) == 1
-    assert _dense_rank(elems + [_Row(row) for row in pivots]) == rank
+    assert _dense_rank(rows + pivots) == rank
 
 
 def test_rank_matches_dense_oracle():
@@ -341,21 +375,26 @@ def test_rank_matches_dense_oracle():
     for _ in range(30):
         n = rng.randint(1, 3)
         elems = [_random_element(rng, n, 2, 3) for _ in range(rng.randint(1, 6))]
-        _assert_rank(elems)
+        _assert_rank([_terms(e) for e in elems])
     # degenerate inputs
     z = SuperElement.zero(2)
     e = SuperElement.from_polynomial(Polynomial.one(2))
-    assert rank_of_elements([z, z]) == 0
-    assert rank_of_elements([e, e, 2 * e]) == 1
-    q = _x(2, 1) * Fraction(3, 5) + _t(2, 2) * Fraction(-7, 11)
+    assert _rank([z, z]) == 0
+    assert _rank([e, e, _scale(e, 2)]) == 1
+    q = _scale(_x(2, 1), Fraction(3, 5)) + _scale(_t(2, 2), Fraction(-7, 11))
     big = Fraction(10**40 + 1, 10**20 + 3)
-    assert rank_of_elements([]) == 0
-    assert rank_of_elements([z, q, z, q, q]) == 1
-    assert rank_of_elements([q, q * big, q * Fraction(-1, 9)]) == 1
-    assert rank_of_elements([q * big, _t(2, 2), q]) == 2
-    for elems in ([z, z], [e, e, 2 * e], [z, q, z, q, q], [q * big, _t(2, 2), q]):
-        _assert_rank(elems)
+    assert _rank([]) == 0
+    assert _rank([z, q, z, q, q]) == 1
+    assert _rank([q, _scale(q, big), _scale(q, Fraction(-1, 9))]) == 1
+    assert _rank([_scale(q, big), _t(2, 2), q]) == 2
+    for elems in ([z, z], [e, e, _scale(e, 2)], [z, q, z, q, q], [_scale(q, big), _t(2, 2), q]):
+        _assert_rank([_terms(e) for e in elems])
     assert echelon_rows([]) == []
+    # a zero entry is no term: it must neither take a pivot nor hide a column
+    rows = [{(0,): 0, (1,): 1}, {(0,): 1}]
+    assert echelon_rows(rows) == [{(1,): 1}, {(0,): 1}]
+    _assert_rank(rows)
+    _assert_rank([{(0,): 0}, {(0,): Fraction(0, 3), (1,): Fraction(2, 3)}])
 
 
 def _random_fraction(rng):
@@ -375,9 +414,9 @@ def test_rank_matches_dense_oracle_on_rational_rows():
         # rational combinations of earlier rows keep the rank but not the shape
         for _ in range(rng.randint(0, 3)):
             a, b = rng.choice(elems), rng.choice(elems)
-            elems.append(a * _random_fraction(rng) + b * _random_fraction(rng))
+            elems.append(_scale(a, _random_fraction(rng)) + _scale(b, _random_fraction(rng)))
         rng.shuffle(elems)
-        _assert_rank(elems)
+        _assert_rank([_terms(e) for e in elems])
 
 
 def test_rank_matches_dense_oracle_on_polynomials():
@@ -393,7 +432,8 @@ def test_rank_matches_dense_oracle_on_polynomials():
                 exps = tuple(rng.randint(0, 3) for _ in range(n))
                 terms[exps] = _random_fraction(rng)
             rows.append(ideal.normal_form(Polynomial(n, terms)))
-        _assert_rank(rows)
+        _assert_rank([p.terms for p in rows])
+        assert rank_of_elements(rows) == _dense_rank([p.terms for p in rows])
     x1, x2 = Polynomial.variable(n, 1), Polynomial.variable(n, 2)
     f = x1 * Fraction(2, 3) - x2 * Fraction(5, 7)
     assert rank_of_elements([f, f * Fraction(-21, 4)]) == 1
@@ -405,7 +445,7 @@ def test_ideal_pieces_cross_checked_against_dense_rank():
         for i in range(n * (n - 1) // 2 + 1):
             for j in range(n + 1):
                 rows = _piece(n, i, j)
-                assert rank_of_elements(rows) == _dense_rank(rows), (n, i, j)
+                assert _rank(rows) == _dense_rank(rows), (n, i, j)
 
 
 def test_rows_span_the_all_products_piece():
@@ -422,13 +462,14 @@ def test_rows_span_the_all_products_piece():
     for n, i, j in cases:
         new = _piece(n, i, j)
         old = [_reduce(r) for r in all_products_rows(n, i, j, invariant_generators(n))]
-        rank = rank_of_elements(new)
-        assert rank == rank_of_elements(old) == rank_of_elements(new + old), (n, i, j)
+        rank = _rank(new)
+        assert rank == _rank(old) == _rank(new + old), (n, i, j)
 
 
 def product_rows(n, i, j, gens, standard, basis):
     """Oracle for invariant_ideal_rows: each row formed as the product
-    dp_k * x^s * t_J' and then reduced part by part, in the same order."""
+    dp_k * x^s * t_J', reduced part by part and flattened, in the same
+    order."""
     rows = []
     if j < 1:
         return rows
@@ -438,30 +479,35 @@ def product_rows(n, i, j, gens, standard, basis):
             continue
         for J in itertools.combinations(range(1, n + 1), j - 1):
             for s in standard[i - gi]:
-                row = g * SuperElement.monomial(SuperMonomial(s, J))
+                row = g * _mono(SuperMonomial(s, J))
                 parts = {K: normal_form(p, basis) for K, p in row.parts.items()}
-                rows.append(SuperElement(n, parts))
+                rows.append(_terms(SuperElement(n, parts)))
     return rows
 
 
 def test_rows_match_the_reduced_products_row_by_row():
     # the rows are written from once-reduced parts; the normal form is
-    # linear, so each must equal the reduced product, in the same place
+    # linear, so each must equal the reduced product, in the same place and
+    # with its terms in the same order
     for n in (1, 2, 3):
         basis = coinvariant_basis(n)[0]
         gens = invariant_generators(n)
         standard = _standard(n)
         for i in range(n * (n - 1) // 2 + 1):
+            reduced = reduced_parts(n, i, gens, standard, basis)
             for j in range(n + 1):
-                rows = invariant_ideal_rows(n, i, j, gens, standard, basis)
+                rows = invariant_ideal_rows(n, j, reduced)
                 oracle = product_rows(n, i, j, gens, standard, basis)
-                assert rows == oracle, (n, i, j)
+                assert [list(r.items()) for r in rows] == [
+                    list(r.items()) for r in oracle
+                ], (n, i, j)
 
 
 def test_certificate_reduces_each_part_once(monkeypatch):
-    # one normal form per part of dp_k * x^s, shared by every t-set J', plus
-    # the candidates and the basis check: 142 at n = 3 (184 when every row
-    # reduced its own product)
+    # one normal form per part of dp_k * x^s, shared by every t-set J' of
+    # every j, plus the basis check; the candidates need none: 45 at n = 3
+    # (142 when each piece reduced its own parts and each candidate was
+    # reduced, 184 when every row reduced its own product)
     calls = []
     real = superspace.normal_form
 
@@ -471,7 +517,7 @@ def test_certificate_reduces_each_part_once(monkeypatch):
 
     monkeypatch.setattr(superspace, "normal_form", counted)
     assert sr_basis_certificate(3)[1]
-    assert len(calls) == 142
+    assert len(calls) <= 45
 
 
 def test_table_matches_the_dense_all_products_oracle():
@@ -485,7 +531,7 @@ def test_table_matches_the_dense_all_products_oracle():
         assert ok and set(table) == {(i, j) for i in range(top + 1) for j in range(n + 1)}
         for i in range(top + 2):
             for j in range(n + 1):
-                rank = _dense_rank(all_products_rows(n, i, j, gens))
+                rank = _dense_rank([_terms(r) for r in all_products_rows(n, i, j, gens)])
                 assert table.get((i, j), 0) == dim_bidegree(n, i, j) - rank, (n, i, j)
 
 
@@ -512,18 +558,19 @@ def test_coinvariant_basis_matches_buchberger():
 
 
 def test_ideal_piece_fixtures():
-    # columns are standard monomials times t_J: n = 1 has none in degree 1
-    assert _piece(1, 1, 0) == [] and _standard(1) == [[(0,)]]
+    # columns are standard monomials times t_J: n = 1 has none in degree 1,
+    # and its one piece without t-part has no rows
+    assert _piece(1, 0, 0) == [] and _standard(1) == [[(0,)]]
     # n = 2, bidegree (0, 1): the single row t1 + t2 among 2 columns
     rows = _piece(2, 0, 1)
-    assert rows == [_t(2, 1) + _t(2, 2)]
+    assert rows == [_terms(_t(2, 1) + _t(2, 2))]
     # n = 3, bidegree (0, 2): rank 2 among 3 columns, codimension 1
-    assert rank_of_elements(_piece(3, 0, 2)) == 2
+    assert _rank(_piece(3, 0, 2)) == 2
     # no row carries a term outside the standard columns
     for i, degree in enumerate(_standard(3)):
         for j in range(4):
             for row in _piece(3, i, j):
-                assert {e for e, _ in row.terms} <= set(degree), (i, j)
+                assert {e for e, _ in row} <= set(degree), (i, j)
 
 
 def test_ideal_pieces_are_symmetric_group_stable():
@@ -533,10 +580,10 @@ def test_ideal_pieces_are_symmetric_group_stable():
         for i in range(n * (n - 1) // 2 + 1):
             for j in range(n + 1):
                 rows = _piece(n, i, j)
-                base = rank_of_elements(rows)
+                base = _rank(rows)
                 for w in itertools.permutations(range(1, n + 1)):
-                    acted = [_reduce(sn_act(w, r)) for r in rows]
-                    assert rank_of_elements(rows + acted) == base
+                    acted = [_reduce(sn_act(w, _element(n, r))) for r in rows]
+                    assert _rank(rows + acted) == base
 
 
 def test_super_monomials_count_and_uniqueness():
@@ -622,7 +669,7 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
     dependent = next(
         list(combo)
         for combo in itertools.combinations(super_monomials(n, 2, 0), table[(2, 0)])
-        if rank_of_elements([_reduce(SuperElement.monomial(m)) for m in combo] + rows) < dim
+        if _rank([_reduce(_mono(m)) for m in combo] + rows) < dim
     )
     swapped = [m for m in good if m.bidegree() != (2, 0)] + dependent
     assert len(swapped) == len(good)
@@ -697,8 +744,37 @@ def test_stacked_rank_check_has_teeth():
     # a candidate living inside the ideal fails the stacking test
     n = 2
     rows = _piece(n, 0, 1)
-    base = rank_of_elements(rows)
+    base = _rank(rows)
     inside = _t(n, 1) + _t(n, 2)
-    assert rank_of_elements(rows + [inside]) == base
+    assert _rank(rows + [inside]) == base
     outside = _t(n, 2)
-    assert rank_of_elements(rows + [outside]) == base + 1
+    assert _rank(rows + [outside]) == base + 1
+
+
+def test_unit_row_candidates_need_standard_exponents(monkeypatch):
+    # a candidate enters as its unit row, which is its normal form only for
+    # a standard x^a; x1*x3 for x2*x3 keeps the count, and stacked as a unit
+    # row it would still fill the two columns of (2, 0), so only the
+    # exponent check a_k < k can refuse it
+    n = 3
+    table, ok = sr_basis_certificate(n)
+    assert ok
+    good = artin_monomials(n)
+    assert SuperMonomial((0, 1, 1), ()) in good
+    bad = SuperMonomial((1, 0, 1), ())
+    swapped = [bad if m == SuperMonomial((0, 1, 1), ()) else m for m in good]
+    assert len(swapped) == len(good)
+    assert len(echelon_rows([{(bad.exps, ()): 1}, {((0, 0, 2), ()): 1}])) == 2
+    monkeypatch.setattr(superspace, "artin_monomials", lambda k: swapped)
+    assert sr_basis_certificate(n) == (table, False)
+
+
+def test_candidates_are_their_own_normal_forms():
+    # the ground for the unit rows: every candidate's x^a is standard for
+    # the closed-form basis
+    for n in range(1, 6):
+        basis, ok = coinvariant_basis(n)
+        assert ok
+        for m in artin_monomials(n):
+            x = Polynomial.monomial(n, m.exps)
+            assert normal_form(x, basis) == x, (n, m)
