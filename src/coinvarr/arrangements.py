@@ -16,8 +16,10 @@ every dot it contains the next dot one step toward the lower left, i.e.
 prefix interval.
 
 Point counts over Z/p check characteristic polynomials by the finite-field
-method (Athanasiadis 1996); point_count takes one exact route for every p,
-inclusion-exclusion over hyperplane subsets.
+method (Athanasiadis 1996).  The two sides take separate exact routes over
+the vertex subsets of the graph: characteristic_polynomial sums Moebius
+values over partitions into connected blocks, point_count counts proper
+colourings through partitions into independent sets.
 """
 
 from __future__ import annotations
@@ -255,9 +257,30 @@ def _adjacency(A):
     return adj
 
 
+def _neighbours(A):
+    """Neighbour bitmask of each vertex of the graph on {0..n}."""
+    adj = [0] * (A.n + 1)
+    for i, j in A.pairs:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _connected(S, adj):
+    """True iff the vertex bitmask S induces a connected subgraph."""
+    reach = frontier = S & -S
+    while frontier:
+        v = frontier & -frontier
+        frontier ^= v
+        grow = adj[v.bit_length() - 1] & S & ~reach
+        reach |= grow
+        frontier |= grow
+    return reach == S
+
+
 def is_essential(A):
     """True iff the graph on {0..n} is connected (full-rank arrangement)."""
-    return _block_connected(range(A.n + 1), _adjacency(A))
+    return _connected((1 << (A.n + 1)) - 1, _neighbours(A))
 
 
 def is_chordal(A):
@@ -283,81 +306,69 @@ def is_chordal(A):
 
 
 # -- intersection lattice ----------------------------------------------------
+#
+# Both lattice routes below run over the vertex subsets S of the graph on
+# {0..n}, as bitmasks, in increasing order.  A set partition of S is its
+# block B holding S's lowest vertex plus a partition of S - B, which is a
+# smaller mask, so one pass over those B per S covers every partition:
+# 3^(n+1) steps in all, the cost of the size guard.
 
 
-def _set_partitions(items):
-    items = list(items)
+def _lattice_graph(A):
+    if A.n > 10:
+        raise ValueError("subset recursion (3^(n+1) steps) is guarded at n <= 10")
+    return _neighbours(A)
 
-    def rec(i, blocks):
-        if i == len(items):
-            yield tuple(tuple(b) for b in blocks)
+
+def _low_subsets(S):
+    """Every subset of the bitmask S that holds S's lowest bit, S first."""
+    low = S & -S
+    rest = S ^ low
+    sub = rest
+    while True:
+        yield sub | low
+        if not sub:
             return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
+        sub = (sub - 1) & rest
 
 
-def intersection_flats(A):
-    """Flats as partitions of {0..n} whose blocks are connected in A's graph.
-
-    Canonical form: tuple of blocks, each an ascending tuple, sorted by
-    smallest element.  Guarded at n <= 7 (Bell-number growth).
-    """
-    if A.n > 7:
-        raise ValueError("lattice enumeration is guarded at n <= 7")
-    adj = _adjacency(A)
-    flats = []
-    for part in _set_partitions(range(A.n + 1)):
-        if all(_block_connected(b, adj) for b in part):
-            flats.append(tuple(sorted((tuple(sorted(b)) for b in part))))
-    return flats
-
-
-def _block_connected(block, adj):
-    block = set(block)
-    if len(block) <= 1:
-        return True
-    start = next(iter(block))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in block and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == block
+def _peel(S, weight, table):
+    """Coefficients in t of the sum of weight[B] * t * table[S - B] over the
+    blocks B of S that hold its lowest vertex; table[0] is [1]."""
+    out = [0] * (S.bit_count() + 1)
+    for B in _low_subsets(S):
+        w = weight[B]
+        if w:
+            for k, c in enumerate(table[S ^ B], 1):
+                out[k] += w * c
+    return out
 
 
 def characteristic_polynomial(A):
     """Coefficient tuple (c_0, ..., c_n) of the characteristic polynomial.
 
-    Moebius sum over the intersection lattice ordered by refinement; a flat
-    with b blocks contributes to the t^(b-1) coefficient (the block holding
-    vertex 0 is pinned to zero).
+    The flats are the partitions of {0..n} into blocks connected in A's
+    graph, and a flat X with b blocks adds mu(0, X) to the t^(b-1)
+    coefficient (the block holding vertex 0 is pinned to zero).  The
+    interval [0, X] is the product of the bond lattices of X's blocks, so
+    mu(0, X) is the product of mu_B over them: 1 for a singleton, 0 for a
+    disconnected B, and otherwise minus the sum of mu_B' * F(B - B')(1) over
+    the proper B' holding B's lowest vertex, since the Moebius sum over the
+    bond lattice of B vanishes.  Here F(S)(t) sums mu(0, X) t^b over the
+    partitions X of S, so it is the sum of mu_B * t * F(S - B) over the
+    blocks B holding S's lowest vertex, and the answer is F({0..n}) / t.
     """
-    flats = intersection_flats(A)
-    flats.sort(key=len, reverse=True)  # rank-ascending: many blocks first
-    mu = {}
-    for idx, X in enumerate(flats):
-        owner = {v: k for k, b in enumerate(X) for v in b}
-        total = 0
-        for Y in flats[:idx]:
-            # Y lies below X when each block of Y sits inside one block of X
-            if len(Y) > len(X) and all(len({owner[v] for v in b}) == 1 for b in Y):
-                total += mu[Y]
-        mu[X] = 1 if idx == 0 else -total
-    coeffs = [0] * (A.n + 1)
-    for X, m in mu.items():
-        coeffs[len(X) - 1] += m
-    return tuple(coeffs)
+    adj = _lattice_graph(A)
+    size = 1 << (A.n + 1)
+    mu = [0] * size
+    F = [[1]] + [None] * (size - 1)
+    for S in range(1, size):
+        if not S & (S - 1):
+            mu[S] = 1
+        elif _connected(S, adj):
+            mu[S] = -sum(mu[B] * sum(F[S ^ B]) for B in _low_subsets(S) if B != S)
+        F[S] = _peel(S, mu, F)
+    return tuple(F[-1][1:])
 
 
 def char_poly_eval(coeffs, t):
@@ -390,37 +401,29 @@ def smallest_prime_above(m):
 def point_count(A, p):
     """Number of points of (Z/p)^n lying on none of the hyperplanes.
 
-    Inclusion-exclusion over hyperplane subsets: a subset S cuts out a
-    subspace of dimension n - rank(S), read off a union-find on the graph
-    on {0..n}, so it contributes (-1)^|S| p^(n - rank(S)).  The work is
-    2^|A| subsets whatever p is.
+    With x_0 = 0 such a point is a proper colouring of A's graph on {0..n}
+    by the p residues in which vertex 0 gets colour 0, so the count is the
+    chromatic polynomial at p divided by p: the sum of a_k (p)_k / p, where
+    a_k counts the partitions of {0..n} into k independent sets and (p)_k is
+    the falling factorial.  The a_k come from characteristic_polynomial's
+    recursion with independent blocks in place of connected ones, so the
+    two routes share no lattice data.  The work is 3^(n+1) subset steps
+    whatever p is.
     """
-    edges = A.sorted_pairs()
-    nv = A.n + 1
-    total = 0
-
-    def find(parent, v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    def rec(idx, parent, merges, sign):
-        nonlocal total
-        if idx == len(edges):
-            total += sign * p ** (nv - merges - 1)
-            return
-        rec(idx + 1, parent, merges, sign)
-        a = find(parent, edges[idx][0])
-        b = find(parent, edges[idx][1])
-        if a == b:
-            rec(idx + 1, parent, merges, -sign)
-        else:
-            child = dict(parent)
-            child[a] = b
-            rec(idx + 1, child, merges + 1, -sign)
-
-    rec(0, {v: v for v in range(nv)}, 0, 1)
-    return total
+    adj = _lattice_graph(A)
+    size = 1 << (A.n + 1)
+    independent = [1] + [0] * (size - 1)
+    parts = [[1]] + [None] * (size - 1)
+    for S in range(1, size):
+        low = S & -S
+        if independent[S ^ low] and not adj[low.bit_length() - 1] & S:
+            independent[S] = 1
+        parts[S] = _peel(S, independent, parts)
+    total = sum(a * math.perm(p, k) for k, a in enumerate(parts[-1]))
+    count, rest = divmod(total, p)
+    if rest:
+        raise ArithmeticError("colouring count is not a multiple of p")
+    return count
 
 
 # -- text format ------------------------------------------------------------------

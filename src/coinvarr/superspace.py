@@ -232,7 +232,8 @@ def reduced_parts(n, i, gens, standard, basis):
     k * x_m^(k-1) * x^s * t_m.  Returns one list per dp_k with k-1 <= i,
     holding one list per standard x^s of degree i-k+1 (in standard's order)
     of the pairs ((m,), terms), where terms is the term dict of the normal
-    form of k * x_m^(k-1) * x^s.
+    form of k * x_m^(k-1) * x^s; when that monomial is standard it is
+    {exps: k} as it stands, and only the others are reduced.
     """
     reduced = []
     for g in gens:
@@ -241,14 +242,26 @@ def reduced_parts(n, i, gens, standard, basis):
             continue
         reduced.append(
             [
-                [
-                    (tm, normal_form(p * Polynomial._from_terms(n, {s: 1}), basis).terms)
-                    for tm, p in g.parts.items()
-                ]
+                [(tm, _shifted_normal_form(p, s, basis)) for tm, p in g.parts.items()]
                 for s in standard[i - gi]
             ]
         )
     return reduced
+
+
+def _shifted_normal_form(p, s, basis):
+    """Term dict of the normal form of p * x^s modulo basis (P's, from
+    coinvariant_basis).  A product whose monomials are all standard is its
+    own normal form, so it skips the reduction."""
+    terms = {tuple(a + b for a, b in zip(e, s)): c for e, c in p.terms.items()}
+    if all(_is_standard(e) for e in terms):
+        return terms
+    return normal_form(Polynomial._from_terms(p.n, terms), basis).terms
+
+
+def _is_standard(exps):
+    """True iff x^exps is a standard monomial of P: a_k < k for every k."""
+    return all(a < k for k, a in enumerate(exps, 1))
 
 
 def invariant_ideal_rows(n, j, reduced):
@@ -268,17 +281,22 @@ def invariant_ideal_rows(n, j, reduced):
     is the part m of dp_k * x^s times t_J', signed by _merge_sign((m,), J')
     and absent when m lies in J', and the normal form is linear.  So every
     part is reduced once, by reduced_parts, and shared by all the t-sets J'
-    of every j.  The rows come ordered by generator, then J', then x^s.
+    of every j, and each of the n signs per J' is computed once per call.
+    The rows come ordered by generator, then J', then x^s.
     """
     rows = []
     if j < 1:
         return rows
+    signs = {
+        J: {(m,): _merge_sign((m,), J) for m in range(1, n + 1)}
+        for J in itertools.combinations(range(1, n + 1), j - 1)
+    }
     for by_s in reduced:
-        for J in itertools.combinations(range(1, n + 1), j - 1):
+        for J, sign_of in signs.items():
             for parts in by_s:
                 row = {}
                 for tm, terms in parts:
-                    sign, merged = _merge_sign(tm, J)
+                    sign, merged = sign_of[tm]
                     if sign:
                         for e, c in terms.items():
                             row[e, merged] = c if sign > 0 else -c
@@ -342,7 +360,7 @@ def sr_basis_certificate(n):
         buckets.setdefault(m.bidegree(), []).append({(m.exps, m.thetas): 1})
     top = n * (n - 1) // 2
     basis, ok = coinvariant_basis(n)
-    ok = ok and all(a < k for m in mons for k, a in enumerate(m.exps, 1))
+    ok = ok and all(_is_standard(m.exps) for m in mons)
     standard = [[] for _ in range(top + 1)]
     for s in staircase_monomials((), n):
         standard[sum(s)].append(s)

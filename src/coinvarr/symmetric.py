@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import itertools
 
-from .polynomials import Polynomial, diffop_apply, matrix_determinant, vandermonde
+from .polynomials import (
+    Polynomial,
+    diffop_apply,
+    matrix_determinant,
+    suite_cache,
+    vandermonde,
+)
 
 
 def _subset(A, n):
@@ -101,9 +107,11 @@ def partitions(total, max_part=None):
             yield (first,) + rest
 
 
+@suite_cache
 def coinvariant_generators(n):
-    """[e_1, ..., e_n]: the positive-degree invariant generators."""
-    return [elementary(d, n) for d in range(1, n + 1)]
+    """(e_1, ..., e_n): the positive-degree invariant generators, built once
+    per n and shared by every caller of a suite."""
+    return tuple(elementary(d, n) for d in range(1, n + 1))
 
 
 def steinberg_member(f):

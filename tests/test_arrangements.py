@@ -18,7 +18,6 @@ from coinvarr.arrangements import (
     format_arrangement,
     forms_product,
     full_arrangement,
-    intersection_flats,
     is_chordal,
     is_essential,
     is_southwest,
@@ -36,7 +35,7 @@ from coinvarr.arrangements import (
     staircase_monomials,
     subsets,
 )
-from coinvarr import cli
+from coinvarr import arrangements, cli
 from coinvarr.polynomials import Polynomial, vandermonde, variables
 
 # the worked n=5 example used throughout: x1, x2, x1-x2, x1-x3, x2-x3,
@@ -278,6 +277,14 @@ def test_essential_predicate():
             assert is_essential(A) == all(c > 0 for c in column_counts(A))
 
 
+def _adjacency_sets(A):
+    adj = {v: set() for v in range(A.n + 1)}
+    for i, j in A.pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
 def _connected_sub(sub, adj):
     sub = set(sub)
     start = next(iter(sub))
@@ -295,10 +302,7 @@ def _connected_sub(sub, adj):
 def _chordal_oracle(A):
     # chordal iff no induced chordless cycle of length >= 4: an induced
     # subgraph that is connected and 2-regular is exactly such a cycle
-    adj = {v: set() for v in range(A.n + 1)}
-    for i, j in A.pairs:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = _adjacency_sets(A)
     for size in range(4, A.n + 2):
         for sub in itertools.combinations(range(A.n + 1), size):
             if all(len(adj[v] & set(sub)) == 2 for v in sub) and _connected_sub(
@@ -328,20 +332,113 @@ def test_southwest_graphs_are_chordal():
             assert is_chordal(A)
 
 
+def _set_partitions(items):
+    items = list(items)
+
+    def rec(i, blocks):
+        if i == len(items):
+            yield tuple(tuple(b) for b in blocks)
+            return
+        x = items[i]
+        for b in blocks:
+            b.append(x)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([x])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+def _intersection_flats(A):
+    # oracle: the flats as the partitions of {0..n} into connected blocks,
+    # each block ascending, blocks sorted by their smallest vertex
+    adj = _adjacency_sets(A)
+    return [
+        tuple(sorted(tuple(sorted(b)) for b in part))
+        for part in _set_partitions(range(A.n + 1))
+        if all(_connected_sub(b, adj) for b in part)
+    ]
+
+
+def _char_poly_refinement(A):
+    # oracle: the Moebius function by scanning every pair of flats for
+    # refinement, a flat with b blocks adding to the t^(b-1) coefficient
+    flats = _intersection_flats(A)
+    flats.sort(key=len, reverse=True)  # rank-ascending: many blocks first
+    mu = {}
+    for idx, X in enumerate(flats):
+        owner = {v: k for k, b in enumerate(X) for v in b}
+        total = 0
+        for Y in flats[:idx]:
+            if len(Y) > len(X) and all(len({owner[v] for v in b}) == 1 for b in Y):
+                total += mu[Y]
+        mu[X] = 1 if idx == 0 else -total
+    coeffs = [0] * (A.n + 1)
+    for X, m in mu.items():
+        coeffs[len(X) - 1] += m
+    return tuple(coeffs)
+
+
+def _point_count_inclusion_exclusion(A, p):
+    # oracle: a set S of hyperplanes cuts out a subspace of dimension
+    # n - rank(S), read off a union-find on the graph on {0..n}
+    edges = A.sorted_pairs()
+    total = 0
+    for r in range(len(edges) + 1):
+        for chosen in itertools.combinations(edges, r):
+            parent = list(range(A.n + 1))
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            rank = 0
+            for i, j in chosen:
+                a, b = find(i), find(j)
+                if a != b:
+                    parent[a] = b
+                    rank += 1
+            total += (-1) ** r * p ** (A.n - rank)
+    return total
+
+
+def _all_graphs(n):
+    ambient = sorted(full_arrangement(n).pairs)
+    for r in range(len(ambient) + 1):
+        for sub in itertools.combinations(ambient, r):
+            yield Arrangement(n, sub)
+
+
+def _random_graphs(n, count, seed):
+    rng = random.Random(seed)
+    ambient = sorted(full_arrangement(n).pairs)
+    return [
+        Arrangement(n, [p for p in ambient if rng.random() < 0.5])
+        for _ in range(count)
+    ]
+
+
 def test_intersection_flats_small():
     A = full_arrangement(2)
-    flats = intersection_flats(A)
+    flats = _intersection_flats(A)
     # bond lattice of the triangle on {0,1,2}: 5 partitions qualify
     assert len(flats) == 5
     singles = tuple(((0,), (1,), (2,)))
     assert singles in flats
-    empty_flats = intersection_flats(Arrangement(2, []))
+    empty_flats = _intersection_flats(Arrangement(2, []))
     assert empty_flats == [singles]
     # disconnected blocks are rejected
     B = Arrangement(2, [(0, 1)])
     assert all(
-        not any(set(b) == {0, 2} for b in flat) for flat in intersection_flats(B)
+        not any(set(b) == {0, 2} for b in flat) for flat in _intersection_flats(B)
     )
+    # the full graph keeps every partition: Bell numbers
+    assert [len(_intersection_flats(full_arrangement(n))) for n in range(5)] == [
+        1, 2, 5, 15, 52,
+    ]
 
 
 def test_characteristic_polynomial_fixtures():
@@ -354,10 +451,32 @@ def test_characteristic_polynomial_fixtures():
         assert characteristic_polynomial(full_arrangement(n)) == roots_poly(
             staircase((), n)
         )
+    assert characteristic_polynomial(Arrangement(0, [])) == (1,)
+    with pytest.raises(ValueError):
+        characteristic_polynomial(Arrangement(11, []))
+
+
+def test_characteristic_polynomial_matches_refinement_oracle():
+    for n in range(5):
+        for A in _all_graphs(n):
+            assert characteristic_polynomial(A) == _char_poly_refinement(A), A
+    for A in _random_graphs(5, 12, 121):
+        assert characteristic_polynomial(A) == _char_poly_refinement(A), A
+
+
+def test_disconnected_block_mutant_is_caught(monkeypatch):
+    # a route that lets a disconnected block carry a nonzero Moebius value
+    # must disagree with the oracle on some small graph
+    monkeypatch.setattr(arrangements, "_connected", lambda S, adj: True)
+    assert any(
+        characteristic_polynomial(A) != _char_poly_refinement(A)
+        for n in range(4)
+        for A in _all_graphs(n)
+    )
 
 
 def test_characteristic_polynomial_skip_arrangements_small():
-    for n in range(1, 4):
+    for n in range(1, 7):
         for r in range(0, n + 1):
             for skips in itertools.combinations(range(1, n + 1), r):
                 A = skip_arrangement(skips, n)
@@ -413,6 +532,24 @@ def test_point_count_routes_agree():
             A = Arrangement(n, sub)
             p = smallest_prime_above(n * max(1, len(A)))
             assert point_count(A, p) == _point_count_literal(A, p), (n, sub, p)
+
+
+def test_point_count_matches_oracles():
+    # every prime up to n + 1 included: below the chromatic number the
+    # count is 0, and (p)_k vanishes for k > p
+    for n in range(4):
+        for A in _all_graphs(n):
+            for p in (2, 3, 5):
+                got = point_count(A, p)
+                assert got == _point_count_inclusion_exclusion(A, p), (A, p)
+                assert got == _point_count_literal(A, p), (A, p)
+    for A in _random_graphs(4, 20, 131):
+        for p in (2, 3, 5, 7):
+            got = point_count(A, p)
+            assert got == _point_count_inclusion_exclusion(A, p), (A, p)
+            assert got == _point_count_literal(A, p), (A, p)
+    assert point_count(full_arrangement(4), 3) == 0
+    assert point_count(Arrangement(0, []), 2) == 1
 
 
 def test_point_count_matches_characteristic_polynomial():

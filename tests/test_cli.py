@@ -29,6 +29,7 @@ from coinvarr.polynomials import (
 )
 from coinvarr.st_algebras import classify
 from coinvarr.superspace import invariant_ideal_rows, rank_of_elements, reduced_parts
+from coinvarr.symmetric import coinvariant_generators
 
 
 def test_canon_values():
@@ -70,11 +71,13 @@ def _suite_memo_sizes():
 
 def _fill_suite_memos():
     # a Groebner basis, a classification (with its Saito inputs, linear forms
-    # and packings) and a Vandermonde product fill every suite_cache memo
+    # and packings), a Vandermonde product and the invariant generators fill
+    # every suite_cache memo
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     Ideal(2, [x1 + x2, x1 * x2]).groebner()
     classify(full_arrangement(2))
     vandermonde(2)
+    coinvariant_generators(2)
     sizes = _suite_memo_sizes()
     assert all(sizes.values()), sizes
 
@@ -90,6 +93,7 @@ def test_run_suite_empties_the_groebner_cache(monkeypatch):
         "coinvarr.groebner._reduced_basis",
         "coinvarr.polynomials.vandermonde",
         "coinvarr.st_algebras._classified",
+        "coinvarr.symmetric.coinvariant_generators",
     }
     for name in ("cospan", "southwest-quotient", "saito-southwest", "skip-quotient"):
         _fill_suite_memos()

@@ -348,7 +348,7 @@ def test_membership_agrees_across_orders():
         # lex membership: f joins the ideal without changing its lex basis
         lex = (1,) * n
         lex_gb = groebner_basis(gens, blocks=lex)
-        assert I.contains(f) == (groebner_basis(gens + [f], blocks=lex) == lex_gb)
+        assert I.contains(f) == (groebner_basis([*gens, f], blocks=lex) == lex_gb)
 
 
 def test_standard_monomials_fixture():
@@ -551,7 +551,7 @@ def test_cached_bases_are_never_mutated():
     # the reducers read basis and generator dicts in place, without copying
     rng = random.Random(1201)
     for n in (2, 3):
-        gens = coinvariant_generators(n) + [_random_sparse(rng, n, 2, 3)]
+        gens = [*coinvariant_generators(n), _random_sparse(rng, n, 2, 3)]
         texts = [g.text() for g in gens]
         I = Ideal(n, gens)
         for _ in range(40):

@@ -201,6 +201,14 @@ def test_vandermonde_is_shared_and_left_unchanged():
         assert vandermonde(n).terms == before
 
 
+def test_coinvariant_generators_are_shared():
+    # one tuple per n for the whole suite, so no caller can change it
+    for n in range(1, 5):
+        gens = coinvariant_generators(n)
+        assert gens is coinvariant_generators(n)
+        assert gens == tuple(elementary(d, n) for d in range(1, n + 1))
+
+
 def test_steinberg_member_inhomogeneous():
     x1, x2 = variables(2)
     e1, e2 = coinvariant_generators(2)
