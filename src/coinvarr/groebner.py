@@ -10,8 +10,11 @@ groebner_basis takes a monomial order, as a tuple of block sizes: blocks
 compare first-block first, with grevlex inside each block, so (n,) is
 grevlex, (1, n) is the order colon uses to eliminate a fresh first
 variable, and (1,) * n is lex.  Reduced bases are canonical (monic,
-auto-reduced, sorted by leading monomial, the smallest first), so ideal
-equality is literal equality of reduced bases.
+auto-reduced, sorted by leading monomial, the smallest first).  Ideal
+equality is containment both ways, read from the generators first: a
+generator that is a scalar multiple of one on the other side is in that
+ideal outright, so a side whose generators all are needs no basis; when
+both sides need one, the reduced bases are compared.
 
 Inside the kernel each monomial is one packed int (Monagan and Pearce,
 CASC 2007) whose integer order is the monomial order; see _Packing.  A
@@ -20,7 +23,9 @@ subtraction and one AND, and a remainder's terms sit in a heap of negated
 ints, so the largest live term pops next and each term is ordered once,
 when it appears.  Terms go back to exponent tuples only in the returned
 Polynomials.  normal_form keeps the packed rows of the last basis it saw,
-since callers query one basis many times in a row.
+since callers query one basis many times in a row, and
+Ideal.monomial_remainders reduces a whole list of monomials against the
+same rows, handing back the packed int remainders for a rank.
 
 An Ideal reads its quotient in one walk, standard_monomials (None when the
 quotient is infinite-dimensional); dimension and Hilbert series count it.
@@ -342,11 +347,33 @@ def groebner_basis(polys, blocks=None):
     return reduced
 
 
-# the packed rows of the last basis normal_form reduced against, as [basis
-# tuple, its ambient n (None if empty), its degree, packing, rows]; one entry,
-# because keeping every basis packed would double the memory of the basis
-# cache.  A packing made after clear_suite_caches is new, so rows rebuild then.
+# the packed rows of the last basis reduced against, as [basis tuple, its
+# ambient n (None if empty), its degree, packing, rows]; one entry, because
+# keeping every basis packed would double the memory of the basis cache.  A
+# packing made after clear_suite_caches is new, so rows rebuild then.
 _LAST_ROWS = [None, None, -1, None, None]
+
+
+def _packed_rows(basis, n, degree):
+    """(packing, packed rows of basis) for inputs of ambient n and degree.
+
+    The packing is grevlex on n variables with fields that fit degree and
+    the basis degree.  The rows of the last basis seen are kept in
+    _LAST_ROWS, and rebuilt only when the basis or the packing changes.
+    """
+    key = tuple(basis)
+    memo = _LAST_ROWS
+    if memo[0] != key:
+        m = key[0].n if key else None
+        if any(p.n != m for p in key):
+            raise AmbientMismatch("basis polynomials disagree on ambient n")
+        memo[:] = key, m, max((p.degree() for p in key), default=-1), None, None
+    if n != memo[1] and memo[1] is not None:
+        raise AmbientMismatch("ambient mismatch")
+    pk = _packing_for((n,), max(degree, memo[2]))
+    if pk is not memo[3]:
+        memo[3:] = pk, [_row(pk, pk.pack_terms(p.terms, {})) for p in key if p]
+    return pk, memo[4]
 
 
 def normal_form(f, basis):
@@ -356,23 +383,12 @@ def normal_form(f, basis):
     int rows of the basis; the remainder of scale * D * f is then divided by
     scale * D, so the result is the exact normal form of f.
     """
-    key = tuple(basis)
-    memo = _LAST_ROWS
-    if memo[0] != key:
-        n = key[0].n if key else None
-        if any(p.n != n for p in key):
-            raise AmbientMismatch("basis polynomials disagree on ambient n")
-        memo[:] = key, n, max((p.degree() for p in key), default=-1), None, None
-    if f.n != memo[1] and memo[1] is not None:
-        raise AmbientMismatch("ambient mismatch")
+    pk, rows = _packed_rows(basis, f.n, f.degree())
     if not f:
         return Polynomial.zero(f.n)
-    pk = _packing_for((f.n,), max(f.degree(), memo[2]))
-    if pk is not memo[3]:
-        memo[3:] = pk, [_row(pk, pk.pack_terms(p.terms, {})) for p in key if p]
     names = {}
     t, den = _cleared(pk.pack_terms(f.terms, names))
-    t, scale = _nf_dict(t, _nf_heap(t), memo[4], pk)
+    t, scale = _nf_dict(t, _nf_heap(t), rows, pk)
     den *= scale
     return _polynomial(pk, {o: coeff_div(c, den) for o, c in t.items()}, names)
 
@@ -421,6 +437,20 @@ class Ideal:
 
     def contains(self, f):
         return not self.normal_form(f)
+
+    def monomial_remainders(self, exps):
+        """Remainders of the monomials x^e, e in exps, against the reduced basis.
+
+        Each is an int term dict keyed by packed monomials: a positive
+        multiple of the normal form of x^e, so the remainders have the rank
+        of the normal forms, and a standard monomial's is {its key: 1}.  All
+        of them share one packing and the basis rows normal_form keeps.
+        """
+        if any(len(e) != self.n for e in exps):
+            raise AmbientMismatch("ambient mismatch")
+        degree = max(map(sum, exps), default=0)
+        pk, rows = _packed_rows(self.groebner(), self.n, degree)
+        return [_nf_dict({o: 1}, [-o], rows, pk)[0] for o in map(pk.pack, exps)]
 
     def is_unit(self):
         gb = self.groebner()
@@ -481,11 +511,30 @@ class Ideal:
         return f"Ideal({self.n}, [{inner}])"
 
 
+def _monic(p):
+    """The term set of p divided by its leading coefficient (p nonzero)."""
+    lc = p.leading()[1]
+    return frozenset((e, coeff_div(c, lc)) for e, c in p.terms.items())
+
+
 def ideal_equal(I, J):
-    """Ideal equality via canonical reduced bases."""
+    """True iff I and J are the same ideal: each contains the other.
+
+    A generator that is a nonzero scalar multiple of one on the other side
+    is contained outright.  When only one side has other generators, they
+    must reduce to 0 against the other side's basis, the only basis built.
+    When both sides have some, both bases are needed anyway, and equality
+    is equality of the canonical reduced bases.
+    """
     if I.n != J.n:
         raise AmbientMismatch("ambient mismatch")
-    return I.groebner() == J.groebner()
+    mine = {_monic(g): g for g in I.gens if g}
+    theirs = {_monic(g): g for g in J.gens if g}
+    extra = [g for key, g in mine.items() if key not in theirs]
+    missing = [g for key, g in theirs.items() if key not in mine]
+    if extra and missing:
+        return I.groebner() == J.groebner()
+    return all(J.contains(g) for g in extra) and all(I.contains(g) for g in missing)
 
 
 def colon(I, f):

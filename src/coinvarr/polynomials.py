@@ -433,17 +433,13 @@ def diffop_apply(f, g):
     x^a applied to x^b gives prod_i b_i!/(b_i-a_i)! * x^(b-a) when b >= a
     componentwise and 0 otherwise.  Only those pairs are visited: g's terms
     are indexed per variable by exponent, and x^a meets the intersection of
-    the sets {b : b_i >= a_i} over its variables.
+    the sets {b : b_i >= a_i} over its variables.  The index is built once
+    per g, since callers apply many operators to one g.
     """
     if f.n != g.n:
         raise AmbientMismatch(f"cannot mix ambient n={f.n} with n={g.n}")
     gterms = g.terms
-    # at_least[i][v] is the set of g's exponents b with b_i >= v, for v >= 1
-    at_least = [{} for _ in range(g.n)]
-    for b in gterms:
-        for index, bi in zip(at_least, b):
-            for v in range(1, bi + 1):
-                index.setdefault(v, set()).add(b)
+    at_least = _exponent_index(g)
     none = frozenset()
     out = {}
     for a, ca in f.terms.items():
@@ -467,6 +463,17 @@ def diffop_apply(f, g):
             else:
                 out.pop(key, None)
     return Polynomial(f.n, out)
+
+
+@suite_cache
+def _exponent_index(g):
+    """at_least[i][v]: the set of g's exponents b with b_i >= v, for v >= 1."""
+    at_least = [{} for _ in range(g.n)]
+    for b in g.terms:
+        for index, bi in zip(at_least, b):
+            for v in range(1, bi + 1):
+                index.setdefault(v, set()).add(b)
+    return at_least
 
 
 @suite_cache

@@ -30,8 +30,8 @@ from .arrangements import (
 from .derivations import skip_basis, southwest_basis, st_ideal
 from .groebner import Ideal, colon, ideal_equal
 from .polynomials import (
-    Polynomial,
     box_monomials,
+    echelon_rows,
     q_integer_product,
     rank_of_elements,
     suite_cache,
@@ -158,7 +158,10 @@ def exact_sequence_check(inst):
     the graded dimensions satisfy big = q*deleted + restricted
     coefficientwise (the zero algebra contributing nothing) and the
     restricted ideal equals the big ideal plus (x_p), read in the surviving
-    variables.
+    variables.  That equality is read by containment: the restriction's
+    basis is the one its classification built, and the projected ideal
+    needs none while each restricted generator is a multiple of one of its
+    generators.
     """
     A = _arrangement(inst)
     if not is_southwest(A) or not is_essential(A):
@@ -193,11 +196,12 @@ def exact_sequence_check(inst):
 def _is_monomial_basis(ideal, exps, dimension):
     """True iff the checked exponent tuples exps give a basis of S / ideal:
     there are dimension of them, and their normal forms have full rank.
+    The rank is read from the packed remainders, positive multiples of the
+    normal forms.
     """
     if len(exps) != dimension:
         return False
-    rows = [ideal.normal_form(Polynomial._from_terms(ideal.n, {e: 1})) for e in exps]
-    return rank_of_elements(rows) == dimension
+    return len(echelon_rows(ideal.monomial_remainders(exps))) == dimension
 
 
 def verify_box_basis(inst):

@@ -19,7 +19,7 @@ from coinvarr.cli import (
     make_report,
     run_suite,
 )
-from coinvarr.groebner import Ideal
+from coinvarr.groebner import Ideal, groebner_basis, normal_form
 from coinvarr.polynomials import (
     _SUITE_CACHES,
     Polynomial,
@@ -29,7 +29,7 @@ from coinvarr.polynomials import (
 )
 from coinvarr.st_algebras import classify
 from coinvarr.superspace import invariant_ideal_rows, rank_of_elements, reduced_parts
-from coinvarr.symmetric import coinvariant_generators
+from coinvarr.symmetric import coinvariant_generators, steinberg_member
 
 
 def test_canon_values():
@@ -71,12 +71,12 @@ def _suite_memo_sizes():
 
 def _fill_suite_memos():
     # a Groebner basis, a classification (with its Saito inputs, linear forms
-    # and packings), a Vandermonde product and the invariant generators fill
-    # every suite_cache memo
+    # and packings), a Vandermonde product with its exponent index and the
+    # invariant generators fill every suite_cache memo
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     Ideal(2, [x1 + x2, x1 * x2]).groebner()
     classify(full_arrangement(2))
-    vandermonde(2)
+    steinberg_member(vandermonde(2))
     coinvariant_generators(2)
     sizes = _suite_memo_sizes()
     assert all(sizes.values()), sizes
@@ -91,6 +91,7 @@ def test_run_suite_empties_the_groebner_cache(monkeypatch):
         "coinvarr.derivations._tangent",
         "coinvarr.groebner._packing",
         "coinvarr.groebner._reduced_basis",
+        "coinvarr.polynomials._exponent_index",
         "coinvarr.polynomials.vandermonde",
         "coinvarr.st_algebras._classified",
         "coinvarr.symmetric.coinvariant_generators",
@@ -288,6 +289,37 @@ def test_southwest_task_classifies_each_arrangement_once(monkeypatch):
     rows = SUITES["southwest-quotient"].run(3, full_arrangement(3), RunConfig())
     assert [r[0] for r in rows] == ["box-basis", "hilbert-additivity", "st-dimension"]
     assert len(calls) == 3
+
+
+def test_southwest_task_builds_three_bases_and_no_normal_form_per_monomial(
+    monkeypatch,
+):
+    # Groebner bases for A, its deletion and its restriction only: the
+    # restriction's equality with the projected ideal is read by
+    # containment, and the box basis reduces its 6 monomials in one call.
+    # Here each generator on either side is a multiple of one on the other,
+    # so nothing at all goes through normal_form
+    clear_suite_caches()
+    built = []
+    reduced = []
+
+    def counted_basis(polys, blocks=None):
+        built.append(len(polys))
+        return groebner_basis(polys, blocks)
+
+    def counted_nf(f, basis):
+        reduced.append(f)
+        return normal_form(f, basis)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted_basis)
+    monkeypatch.setattr(groebner, "normal_form", counted_nf)
+    A = full_arrangement(3)
+    rows = SUITES["southwest-quotient"].run(3, A, RunConfig())
+    assert all(r[1] == r[2] for r in rows)
+    assert len(built) == 3
+    assert classify(A).dimension == 6
+    assert reduced == []
+    clear_suite_caches()
 
 
 def test_super_basis_task_ranks_each_piece_once(monkeypatch):

@@ -24,7 +24,9 @@ from coinvarr.polynomials import (
     Polynomial,
     clear_suite_caches,
     coeff_div,
+    echelon_rows,
     grevlex_key,
+    rank_of_elements,
     variables,
 )
 from coinvarr.symmetric import coinvariant_generators, elementary
@@ -568,3 +570,158 @@ def test_cached_bases_are_never_mutated():
         assert [g.text() for g in gens] == texts
 
 
+
+
+# -- ideal equality by containment -------------------------------------------
+
+
+def _bases_equal(I, J):
+    """Oracle: equality of the canonical reduced bases."""
+    return groebner_basis(list(I.gens)) == groebner_basis(list(J.gens))
+
+
+def test_ideal_equal_sees_an_extra_generator_on_either_side():
+    x1, x2, x3 = variables(3)
+    pairs = [
+        (Ideal(3, [x1, x2]), Ideal(3, [x1])),
+        (Ideal(3, [x1 * x2, x1 + x3]), Ideal(3, [x1 + x3])),
+        # same leads, different ideals: x1^2 is not in (x1^2 + x2^2)
+        (Ideal(3, [x1**2 + x2**2, x1**2]), Ideal(3, [x1**2 + x2**2])),
+    ]
+    for big, small in pairs:
+        assert not ideal_equal(big, small)
+        assert not ideal_equal(small, big)
+        assert ideal_equal(big, big) and ideal_equal(small, small)
+
+
+def test_ideal_equal_reads_scaled_and_negated_generators():
+    x1, x2 = variables(2)
+    f, g = x1**2 - 3 * x2, x1 * x2 + Fraction(1, 2)
+    I = Ideal(2, [f, g])
+    assert ideal_equal(I, Ideal(2, [-f, 7 * g]))
+    assert ideal_equal(Ideal(2, [Fraction(-2, 3) * g, f * 5]), I)
+    # a scaled generator of a different polynomial is not a multiple
+    assert not ideal_equal(I, Ideal(2, [f, g + 1]))
+    assert not ideal_equal(Ideal(2, [f, -(g + 1)]), I)
+    # equal ideals whose generators are not multiples of each other
+    assert ideal_equal(Ideal(2, [x1, x2]), Ideal(2, [x1 + x2, x1 - x2]))
+
+
+def test_ideal_equal_ignores_zero_generators():
+    x1, x2 = variables(2)
+    zero = Polynomial.zero(2)
+    assert ideal_equal(Ideal(2, [zero]), Ideal(2, []))
+    assert ideal_equal(Ideal(2, [x1, zero]), Ideal(2, [x1]))
+    assert ideal_equal(Ideal(2, [zero, zero]), Ideal(2, [zero]))
+    assert not ideal_equal(Ideal(2, [zero]), Ideal(2, [x2]))
+    assert not ideal_equal(Ideal(2, [x2]), Ideal(2, [zero]))
+    assert not ideal_equal(Ideal(2, []), Ideal(2, [Polynomial.one(2)]))
+
+
+def test_ideal_equal_builds_a_basis_only_for_a_side_it_reduces_against(
+    monkeypatch,
+):
+    x1, x2 = variables(2)
+    built = []
+
+    def counted(polys, blocks=None):
+        built.append(len(polys))
+        return groebner_basis(polys, blocks)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    cases = [
+        # every generator a multiple of one on the other side: no basis
+        (Ideal(2, [x1 - x2, x1 * x2]), Ideal(2, [3 * x1 * x2, x2 - x1]), True, []),
+        # extras on the first side only: the second side's basis, once
+        (Ideal(2, [x1, x2, x1 + x2]), Ideal(2, [-x2, x1]), True, [2]),
+        (Ideal(2, [x1**2]), Ideal(2, [x1**2, x2]), False, [1]),
+        # extras on both sides: both bases, compared
+        (Ideal(2, [x1 + x2, x1 - x2]), Ideal(2, [x1, x2, x1**2]), True, [2, 3]),
+    ]
+    for I, J, equal, sizes in cases:
+        clear_suite_caches()
+        built.clear()
+        assert ideal_equal(I, J) == equal
+        assert sorted(built) == sizes, (I, J)
+    clear_suite_caches()
+
+
+def test_ideal_equal_rejects_a_mixed_ambient_n():
+    x1 = Polynomial.variable(2, 1)
+    y1 = Polynomial.variable(3, 1)
+    with pytest.raises(AmbientMismatch):
+        ideal_equal(Ideal(2, [x1]), Ideal(3, [y1]))
+    with pytest.raises(AmbientMismatch):
+        ideal_equal(Ideal(3, []), Ideal(2, []))
+
+
+def test_ideal_equal_agrees_with_reduced_bases_random():
+    # pairs built to be equal (sums, scalings and multiples of the
+    # generators added) and pairs that may differ (one generator moved)
+    rng = random.Random(3301)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = [_random_sparse(rng, n, 2, 3) for _ in range(rng.randint(1, 3))]
+        other = [g * rng.choice((-2, -1, Fraction(1, 3), 5)) for g in gens]
+        a, b = rng.sample(range(len(gens)), 2) if len(gens) > 1 else (0, 0)
+        other.append(gens[a] * _random_sparse(rng, n, 1, 2) + gens[b])
+        rng.shuffle(other)
+        if rng.random() < 0.5:
+            other[0] = other[0] + _random_sparse(rng, n, 2, 2)
+        I, J = Ideal(n, gens), Ideal(n, other)
+        want = _bases_equal(I, J)
+        assert ideal_equal(I, J) == want == ideal_equal(J, I)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+# -- packed remainders of monomials ------------------------------------------
+
+
+def test_monomial_remainders_match_exact_normal_forms_random():
+    # each remainder is a positive multiple of the exact normal form, term
+    # for term (packed keys order as grevlex), so the ranks agree; and a
+    # standard monomial's remainder is the monomial itself
+    rng = random.Random(3313)
+    standard = 0
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        gens = [_random_rational(rng, n, 3, 3) for _ in range(rng.randint(1, 3))]
+        I = Ideal(n, gens)
+        gb = I.groebner()
+        exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(12)]
+        rems = I.monomial_remainders(exps)
+        forms = [normal_form(Polynomial.monomial(n, e), gb) for e in exps]
+        assert len(rems) == len(exps)
+        for e, r, nf in zip(exps, rems, forms):
+            assert all(type(c) is int for c in r.values())
+            want = sorted(nf.terms.items(), key=lambda t: grevlex_key(t[0]))
+            got = sorted(r.items(), reverse=True)
+            assert len(got) == len(want)
+            if want:
+                ratio = Fraction(got[0][1]) / want[0][1]
+                assert ratio > 0
+                assert [c for _, c in got] == [ratio * c for _, c in want]
+            if nf == Polynomial.monomial(n, e):
+                assert list(r.values()) == [1]
+                standard += 1
+        assert len(echelon_rows(rems)) == rank_of_elements(forms)
+    assert standard
+
+
+def test_monomial_remainders_edges():
+    x1, x2 = variables(2)
+    I = Ideal(2, [x1 + x2, x1 * x2])
+    assert I.monomial_remainders([]) == []
+    # x1 + x2 and x1*x2 lie in I; 1 and x2 are standard, x1 = -x2 modulo I
+    rems = I.monomial_remainders([(0, 0), (0, 1), (1, 0), (1, 1), (0, 2)])
+    assert [len(r) for r in rems] == [1, 1, 1, 0, 0]
+    assert rems[0] == {max(rems[0]): 1}
+    assert list(rems[1].values()) == [1] and list(rems[2].values()) == [-1]
+    assert rems[1].keys() == rems[2].keys()
+    assert len(echelon_rows(rems)) == I.dimension() == 2
+    # the zero ideal leaves every monomial as it is
+    assert [list(r.values()) for r in Ideal(2, []).monomial_remainders([(3, 1)])] == [[1]]
+    with pytest.raises(AmbientMismatch):
+        I.monomial_remainders([(1, 0, 0)])
