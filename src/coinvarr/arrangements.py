@@ -249,14 +249,6 @@ def restrict_coordinate(A, p):
 # -- graph predicates --------------------------------------------------------
 
 
-def _adjacency(A):
-    adj = {v: set() for v in range(A.n + 1)}
-    for i, j in A.pairs:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
 def _neighbours(A):
     """Neighbour bitmask of each vertex of the graph on {0..n}."""
     adj = [0] * (A.n + 1)
@@ -288,17 +280,19 @@ def is_chordal(A):
 
     A graph is chordal iff simplicial vertices can be eliminated one at a
     time; the greedy order is safe because removing a simplicial vertex
-    preserves chordality.
+    preserves chordality.  v is simplicial when its live neighbours
+    adj[v] & alive (bitmasks) form a clique.
     """
-    adj = _adjacency(A)
-    alive = set(adj)
+    adj = _neighbours(A)
+    vertices = range(A.n + 1)
+    alive = (1 << (A.n + 1)) - 1
     while alive:
-        for v in sorted(alive):
-            nb = sorted(adj[v] & alive)
-            if all(
-                b in adj[a] for a, b in itertools.combinations(nb, 2)
+        for v in vertices:
+            nb = adj[v] & alive
+            if alive >> v & 1 and all(
+                nb & ~adj[u] == 1 << u for u in vertices if nb >> u & 1
             ):
-                alive.remove(v)
+                alive ^= 1 << v
                 break
         else:
             return False

@@ -29,7 +29,8 @@ like the hash.
 It is also the one home of the kernels the other layers share: box
 enumeration, q-integer products, monomial text, and exact linear algebra:
 matrix_determinant, one fraction-free Bareiss loop over Q and over Q[x],
-and the fraction-free echelon_rows, whose pivot count is rank_of_elements.
+and the fraction-free echelon_rows, its pivot rows keyed by pivot in a
+chosen column order; their count is rank_of_elements.
 And it keeps the package's one memo lifetime: every memo is a suite_cache,
 and clear_suite_caches empties all of them when a suite ends.
 """
@@ -559,25 +560,27 @@ def matrix_determinant(rows, n):
     return sign * m[-1][-1] if size else one
 
 
-def echelon_rows(rows):
-    """Pivot rows of a fraction-free echelon form of the span of rows.
+def echelon_rows(rows, key=None):
+    """Pivot rows of a fraction-free echelon form of the span of rows, as
+    the dict {pivot key: row} in the order the pivots were found.
 
     Each row is a term dict from comparable keys to rational coefficients:
     a Polynomial's terms, or a superspace row {(exps, J): coefficient}.
-    Returns one primitive integer row {key: int} per pivot, in the order the
-    pivots were found; a row's pivot is its smallest key, and no two rows
-    share one, so the rows are independent and span the rows' span.
+    Columns run in sorted(keys, key=key) order.  Each returned row is
+    primitive over the integers and keyed by its smallest key in that order,
+    so the rows are independent and span the rows' span, and a column is
+    free exactly when it keys no row.
 
     Each row is read once: its zero entries dropped and the rest scaled to
     integers by the lcm of their denominators, it is held as a row over
     column numbers in first-seen order.  Once every key is known, each row
-    is renumbered as it is taken up, so that columns run in the keys'
-    natural tuple order and lookups hash small ints.  Rows are reduced by
-    sparse elimination (row = a*row - b*pivot, with a and b coprime), and a
-    row that reaches a free column is stored primitive as that column's
-    pivot.  Nonzero row scaling leaves the span unchanged, so the result is
-    exact.  Once every column holds a pivot the remaining rows can only
-    reduce to zero, so elimination stops there.
+    is renumbered as it is taken up, so that columns run in the column
+    order and lookups hash small ints.  Rows are reduced by sparse
+    elimination (row = a*row - b*pivot, with a and b coprime), and a row
+    that reaches a free column is stored primitive as that column's pivot.
+    Nonzero row scaling leaves the span unchanged, so the result is exact.
+    Once every column holds a pivot the remaining rows can only reduce to
+    zero, so elimination stops there.
     """
     index = {}
     number = index.setdefault  # a key's column number, in first-seen order
@@ -591,10 +594,10 @@ def echelon_rows(rows):
                 if c
             }
         )
-    keys = sorted(index)
+    keys = sorted(index, key=key)
     order = [0] * len(keys)
-    for col, key in enumerate(keys):
-        order[index[key]] = col
+    for col, k in enumerate(keys):
+        order[index[k]] = col
     scaled.reverse()  # popped in input order, each row freed once it is read
     pivots = {}
     while scaled and len(pivots) < len(keys):
@@ -624,7 +627,9 @@ def echelon_rows(rows):
                     row[c] = s
                 else:
                     del row[c]
-    return [{keys[c]: v for c, v in row.items()} for row in pivots.values()]
+    return {
+        keys[col]: {keys[c]: v for c, v in row.items()} for col, row in pivots.items()
+    }
 
 
 def rank_of_elements(elements):

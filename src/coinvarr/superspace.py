@@ -26,8 +26,8 @@ normal form lies in P.  Those rows are written directly from their parts:
 reduced_parts reduces each part k * x_m^(k-1) * x^s of dp_k * x^s once per
 x-degree i, and invariant_ideal_rows signs it into the row of every t-set
 J' that misses m, for every j, so no row is formed as a product.  A
-candidate x^a * t_J has a standard x^a, so it is its own normal form and
-enters as the unit row {(a, J): 1}.
+candidate x^a * t_J is no row but a column, ordered last, and the
+candidates form a basis when they are exactly the free columns.
 """
 
 from __future__ import annotations
@@ -341,15 +341,15 @@ def sr_basis_certificate(n):
     x^s * t_J for the standard monomials x^s of coinvariant_basis(n) of
     degree i, and ok needs that basis certified.  One pass over the bidegree
     grid reduces the parts of each x-degree once, and builds and eliminates
-    each ideal piece once.  Its pivot rows give the table entry: the column
-    count minus their number.  Each candidate x^a * t_J must have a_k < k
-    for every k, so that x^a is standard and the candidate enters as the
-    unit row {(a, J): 1}.  The candidates of the bidegree must match the
-    table entry, and stacked on the pivot rows, which span the piece, they
-    must span every column; with the matching count that makes them
-    independent modulo the ideal.  The candidates go first, so that the
-    elimination can stop once every column holds a pivot.  The grand total
-    must match the ordered-set-partition count.
+    each ideal piece once, in a column order that puts the bidegree's
+    candidates C, the keys (exps, J) of its decorated monomials, last.  The
+    table entry is the column count minus the pivot count.  C is a basis of
+    the columns modulo the piece exactly when C is the set of free columns:
+    the pivots outside C then fill every other column, so the piece and C
+    span everything, and no pivot lies in C, so the piece meets the span of
+    C in zero.  A candidate whose x^a is not standard is no column, so it
+    fails the equality.  The grand total must match the ordered-set-partition
+    count.
 
     The grid stops at x-degree C(n, 2), the top standard degree; the
     quotient vanishes above it, because Q[x]/P does.
@@ -357,10 +357,9 @@ def sr_basis_certificate(n):
     mons = artin_monomials(n)
     buckets = {}
     for m in mons:
-        buckets.setdefault(m.bidegree(), []).append({(m.exps, m.thetas): 1})
+        buckets.setdefault(m.bidegree(), set()).add((m.exps, m.thetas))
     top = n * (n - 1) // 2
     basis, ok = coinvariant_basis(n)
-    ok = ok and all(_is_standard(m.exps) for m in mons)
     standard = [[] for _ in range(top + 1)]
     for s in staircase_monomials((), n):
         standard[sum(s)].append(s)
@@ -369,13 +368,13 @@ def sr_basis_certificate(n):
     for i in range(top + 1):
         reduced = reduced_parts(n, i, gens, standard, basis)
         for j in range(n + 1):
-            dim = len(standard[i]) * comb(n, j)
-            pivots = echelon_rows(invariant_ideal_rows(n, j, reduced))
-            table[(i, j)] = dim - len(pivots)
-            candidates = buckets.get((i, j), [])
-            if len(candidates) != table[(i, j)]:
-                ok = False
-            elif candidates and ok:
-                ok = len(echelon_rows(candidates + pivots)) == dim
+            ts = itertools.combinations(range(1, n + 1), j)
+            columns = set(itertools.product(standard[i], ts))
+            candidates = buckets.get((i, j), set())
+            pivots = echelon_rows(
+                invariant_ideal_rows(n, j, reduced), key=lambda c: (c in candidates, c)
+            )
+            table[(i, j)] = len(columns) - len(pivots)
+            ok = ok and columns - pivots.keys() == candidates
             del pivots  # release the piece before the next one is built
     return table, ok and sum(table.values()) == len(mons) == fubini(n)

@@ -324,10 +324,9 @@ def test_southwest_task_builds_three_bases_and_no_normal_form_per_monomial(
 
 def test_super_basis_task_ranks_each_piece_once(monkeypatch):
     # 4 x-degrees at n = 3, whose parts are each reduced once; 16 ideal
-    # pieces, each built once and eliminated once, and one stacked
-    # elimination (candidates on the piece's pivots) per bidegree of the 8
-    # that hold candidate monomials; the only ranks are two per element of
-    # the closed-form basis (its membership in P)
+    # pieces, each built once and eliminated once, with its candidates
+    # ordered last, and no other elimination; the only ranks are two per
+    # element of the closed-form basis (its membership in P)
     calls = []
     eliminated = []
     degrees = []
@@ -337,9 +336,9 @@ def test_super_basis_task_ranks_each_piece_once(monkeypatch):
         calls.append(len(elements))
         return rank_of_elements(elements)
 
-    def counted_echelon(rows):
+    def counted_echelon(rows, key=None):
         eliminated.append(len(rows))
-        return echelon_rows(rows)
+        return echelon_rows(rows, key=key)
 
     def counted_parts(n, i, gens, standard, basis):
         degrees.append(i)
@@ -356,7 +355,7 @@ def test_super_basis_task_ranks_each_piece_once(monkeypatch):
     rows = SUITES["super-basis"].run(3, 3, RunConfig())
     assert rows == [("sr-basis", True, True), ("sr-dimension", 13, 13)]
     assert degrees == [0, 1, 2, 3]
-    assert len(eliminated) == 16 + 8
+    assert len(eliminated) == 16
     assert len(calls) == 2 * 3
     assert len(built) == len(set(built)) == 16
 

@@ -1,5 +1,6 @@
 """Supercommutative ring arithmetic and the quotient basis machinery."""
 
+import functools
 import itertools
 import math
 import random
@@ -331,7 +332,7 @@ def _dense_rank(rows):
     for terms in rows:
         row = [Fraction(0)] * len(cols)
         for key, c in terms.items():
-            row[idx[key]] = c
+            row[idx[key]] = Fraction(c)  # int / int below would be a float
         m.append(row)
     rank = 0
     for c in range(len(cols)):
@@ -355,19 +356,27 @@ class _Row:
         self.terms = terms
 
 
+# the natural tuple order reversed, as a column order for echelon_rows
+_REVERSED = functools.cmp_to_key(lambda a, b: (a < b) - (a > b))
+
+
 def _assert_rank(rows):
-    # echelon_rows and rank_of_elements against the dense oracle: the pivot
-    # rows are primitive integer rows with distinct pivots (smallest keys)
-    # that span the rows' span
+    # echelon_rows and rank_of_elements against the dense oracle, under the
+    # natural column order and its reverse: each pivot row is keyed by its
+    # smallest key under the order, the keys are distinct, and the rows are
+    # primitive integer rows that span the rows' span
     rank = _dense_rank(rows)
-    pivots = echelon_rows(rows)
-    assert rank_of_elements([_Row(row) for row in rows]) == len(pivots) == rank
-    leads = [min(row) for row in pivots]
-    assert len(set(leads)) == len(leads)
-    for row in pivots:
-        assert all(type(v) is int and v for v in row.values())
-        assert math.gcd(*row.values()) == 1
-    assert _dense_rank(rows + pivots) == rank
+    assert rank_of_elements([_Row(row) for row in rows]) == rank
+    for key in (None, _REVERSED):
+        pivots = echelon_rows(rows, key=key)
+        assert len(pivots) == rank
+        leads = [min(row, key=key) for row in pivots.values()]
+        assert leads == list(pivots)
+        assert len(set(leads)) == len(leads)
+        for row in pivots.values():
+            assert all(type(v) is int and v for v in row.values())
+            assert math.gcd(*row.values()) == 1
+        assert _dense_rank(rows + list(pivots.values())) == rank
 
 
 def test_rank_matches_dense_oracle():
@@ -389,10 +398,10 @@ def test_rank_matches_dense_oracle():
     assert _rank([_scale(q, big), _t(2, 2), q]) == 2
     for elems in ([z, z], [e, e, _scale(e, 2)], [z, q, z, q, q], [_scale(q, big), _t(2, 2), q]):
         _assert_rank([_terms(e) for e in elems])
-    assert echelon_rows([]) == []
+    assert echelon_rows([]) == {}
     # a zero entry is no term: it must neither take a pivot nor hide a column
     rows = [{(0,): 0, (1,): 1}, {(0,): 1}]
-    assert echelon_rows(rows) == [{(1,): 1}, {(0,): 1}]
+    assert echelon_rows(rows) == {(1,): {(1,): 1}, (0,): {(0,): 1}}
     _assert_rank(rows)
     _assert_rank([{(0,): 0}, {(0,): Fraction(0, 3), (1,): Fraction(2, 3)}])
 
@@ -680,6 +689,30 @@ def test_sr_basis_certificate_has_teeth(monkeypatch):
     assert sr_basis_certificate(n) == (table, False)
 
 
+def test_free_columns_need_the_candidates_last():
+    # the certificate reads the free columns of each piece with its
+    # candidates ordered last; under the natural tuple order some piece at
+    # n = 3 leaves other columns free, so a fixed order would refuse the
+    # true basis, and only the candidates-last order makes the set equality
+    # both necessary and sufficient
+    n = 3
+    standard = _standard(n)
+    buckets = {}
+    for m in artin_monomials(n):
+        buckets.setdefault(m.bidegree(), set()).add((m.exps, m.thetas))
+    differs = []
+    for (i, j), candidates in buckets.items():
+        rows = _piece(n, i, j)
+        columns = {
+            (s, J) for s in standard[i] for J in itertools.combinations(range(1, n + 1), j)
+        }
+        last = echelon_rows(rows, key=lambda c: (c in candidates, c))
+        assert columns - last.keys() == candidates, (i, j)
+        if columns - echelon_rows(rows).keys() != candidates:
+            differs.append((i, j))
+    assert differs
+
+
 def test_sr_basis_certificate_fails_on_broken_rows(monkeypatch):
     # dropping dp_n, or losing the sign of t_a * t_b, changes the ideal pieces
     n = 3
@@ -741,7 +774,8 @@ def test_sr_basis_certificate_checks_vanishing_above_top(monkeypatch):
 
 
 def test_stacked_rank_check_has_teeth():
-    # a candidate living inside the ideal fails the stacking test
+    # a candidate living inside the ideal adds no rank to its piece, one
+    # outside it adds one
     n = 2
     rows = _piece(n, 0, 1)
     base = _rank(rows)
@@ -752,10 +786,9 @@ def test_stacked_rank_check_has_teeth():
 
 
 def test_unit_row_candidates_need_standard_exponents(monkeypatch):
-    # a candidate enters as its unit row, which is its normal form only for
-    # a standard x^a; x1*x3 for x2*x3 keeps the count, and stacked as a unit
-    # row it would still fill the two columns of (2, 0), so only the
-    # exponent check a_k < k can refuse it
+    # x1*x3 for x2*x3 keeps the count, and its unit row is independent of
+    # x3^2's, so a count or a rank check would pass it; but x1*x3 is not
+    # standard, so it is no column, and the free-column equality refuses it
     n = 3
     table, ok = sr_basis_certificate(n)
     assert ok
@@ -770,8 +803,8 @@ def test_unit_row_candidates_need_standard_exponents(monkeypatch):
 
 
 def test_candidates_are_their_own_normal_forms():
-    # the ground for the unit rows: every candidate's x^a is standard for
-    # the closed-form basis
+    # every candidate's x^a is standard for the closed-form basis, so
+    # every candidate is a column of its bidegree
     for n in range(1, 6):
         basis, ok = coinvariant_basis(n)
         assert ok
