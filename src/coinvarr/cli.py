@@ -33,7 +33,6 @@ from .arrangements import (
     point_count,
     roots_poly,
     skip_arrangement,
-    skip_forms_product,
     smallest_prime_above,
     staircase,
     staircase_monomials,
@@ -48,7 +47,6 @@ from .derivations import (
 )
 from .groebner import (
     Ideal,
-    colon,
     ideal_equal,
     is_regular_sequence,
 )
@@ -57,6 +55,7 @@ from .st_algebras import (
     classify,
     cospan_check,
     exact_sequence_check,
+    skip_colon,
     verify_box_basis,
     verify_skip_quotient,
 )
@@ -243,9 +242,7 @@ def _count_colon(top):
 
 def _run_colon(n, J, cfg):
     gens = skip_generators(J, n)
-    coinv = Ideal(n, coinvariant_generators(n))
-    quotient = colon(coinv, skip_forms_product(J, n))
-    equal = ideal_equal(Ideal(n, gens), quotient)
+    equal = ideal_equal(Ideal(n, gens), skip_colon(J, n))
     return [
         ("regular-sequence", True, is_regular_sequence(gens, n)),
         ("colon-equality", "equal", "equal" if equal else "different"),

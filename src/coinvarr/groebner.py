@@ -542,9 +542,11 @@ def colon(I, f):
 
     Route: if f in I the colon is the unit ideal outright.  Otherwise
     compute I ∩ (f) by eliminating a fresh leading variable t from
-    t*gens(I) + ((1-t)*f) and divide the t-free basis elements by f, which
-    must be exact.  The fresh variable is eliminated by a block order, so no
-    variable renaming is needed.
+    t*G + ((1-t)*f) and divide the t-free basis elements by f, which must be
+    exact.  G is I's reduced basis, which the membership test has just built
+    and cached, rather than I's generators: it is already auto-reduced, so
+    the elimination starts from fewer and smaller rows.  The fresh variable
+    is eliminated by a block order, so no variable renaming is needed.
     """
     n = I.n
     if f.n != n:
@@ -554,9 +556,8 @@ def colon(I, f):
     if I.contains(f):
         return Ideal(n, [Polynomial.one(n)])
     lifted = []
-    for g in I.gens:
-        if g:
-            lifted.append(Polynomial(n + 1, {(1,) + e: c for e, c in g.terms.items()}))
+    for g in I.groebner():
+        lifted.append(Polynomial(n + 1, {(1,) + e: c for e, c in g.terms.items()}))
     both = dict()
     for e, c in f.terms.items():
         both[(0,) + e] = c

@@ -71,13 +71,14 @@ def _suite_memo_sizes():
 
 def _fill_suite_memos():
     # a Groebner basis, a classification (with its Saito inputs, linear forms
-    # and packings), a Vandermonde product with its exponent index and the
-    # invariant generators fill every suite_cache memo
+    # and packings), a Vandermonde product with its exponent index, the
+    # invariant generators and a skip colon fill every suite_cache memo
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     Ideal(2, [x1 + x2, x1 * x2]).groebner()
     classify(full_arrangement(2))
     steinberg_member(vandermonde(2))
     coinvariant_generators(2)
+    st_algebras.skip_colon(frozenset({2}), 2)
     sizes = _suite_memo_sizes()
     assert all(sizes.values()), sizes
 
@@ -94,6 +95,7 @@ def test_run_suite_empties_the_groebner_cache(monkeypatch):
         "coinvarr.polynomials._exponent_index",
         "coinvarr.polynomials.vandermonde",
         "coinvarr.st_algebras._classified",
+        "coinvarr.st_algebras.skip_colon",
         "coinvarr.symmetric.coinvariant_generators",
     }
     for name in ("cospan", "southwest-quotient", "saito-southwest", "skip-quotient"):
@@ -320,6 +322,26 @@ def test_southwest_task_builds_three_bases_and_no_normal_form_per_monomial(
     assert classify(A).dimension == 6
     assert reduced == []
     clear_suite_caches()
+
+
+def test_colon_suites_colon_once_per_skip_set(monkeypatch):
+    # skip_colon memoises I : Q_J and colons the ideal of J - {j}, j = max J,
+    # by the factor q_j alone, of degree n - j + 1 <= n: one colon per
+    # non-empty skip set, 11 for J in {2..n} and 26 for J in {1..n} at n <= 4
+    calls = []
+
+    def counted(I, f):
+        calls.append((I.n, f.degree()))
+        return groebner.colon(I, f)
+
+    monkeypatch.setattr(st_algebras, "colon", counted)
+    clear_suite_caches()
+    for name, want in (("colon-generators", 11), ("skip-quotient", 26)):
+        calls.clear()
+        reports = run_suite(name, RunConfig(n=4))
+        assert reports and all(r["pass"] for r in reports)
+        assert len(calls) == want, name
+        assert all(1 <= degree <= n for n, degree in calls), name
 
 
 def test_super_basis_task_ranks_each_piece_once(monkeypatch):

@@ -356,6 +356,41 @@ def test_skip_quotient_dimension_matches_staircase():
         assert quotient.dimension() == want
 
 
+# -- skip colons -------------------------------------------------------------
+
+
+def test_skip_colon_matches_the_single_shot_colon():
+    clear_suite_caches()
+    for n in range(1, 5):
+        coinv = Ideal(n, coinvariant_generators(n))
+        for J in map(frozenset, subsets(range(1, n + 1))):
+            want = colon(coinv, skip_forms_product(J, n)).groebner()
+            assert st_algebras.skip_colon(J, n).groebner() == want, (n, J)
+    clear_suite_caches()
+
+
+def test_skip_colon_needs_the_smaller_colon():
+    # colon by the factor q_j of j = max J alone, straight from the
+    # coinvariant ideal, forgets the other factors of Q_J; the recursion
+    # has to start from the ideal of J - {j}
+    n = 3
+    coinv = Ideal(n, coinvariant_generators(n))
+
+    def one_factor(J):
+        if not J:
+            return coinv
+        return colon(coinv, skip_forms_product({max(J)}, n))
+
+    clear_suite_caches()
+    differ = {
+        J
+        for J in map(frozenset, subsets(range(1, n + 1)))
+        if one_factor(J).groebner() != st_algebras.skip_colon(J, n).groebner()
+    }
+    clear_suite_caches()
+    assert differ == {J for J in map(frozenset, subsets(range(1, n + 1))) if len(J) > 1}
+
+
 # -- complement span ---------------------------------------------------------
 
 

@@ -773,9 +773,9 @@ def test_sr_basis_certificate_checks_vanishing_above_top(monkeypatch):
     assert not sr_basis_certificate(n)[1]
 
 
-def test_stacked_rank_check_has_teeth():
-    # a candidate living inside the ideal adds no rank to its piece, one
-    # outside it adds one
+def test_piece_gains_rank_only_from_a_row_outside_the_ideal():
+    # piece (0, 1) at n = 2, the span of the ideal's rows in that bidegree:
+    # t1 + t2 lies in it and adds no rank, t2 lies outside and adds one
     n = 2
     rows = _piece(n, 0, 1)
     base = _rank(rows)
