@@ -50,7 +50,7 @@ from .polynomials import (
 class Derivation:
     """Vector field with polynomial coefficients, one per variable."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "_hash")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -66,6 +66,7 @@ class Derivation:
             raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
         self.n = n
         self.coeffs = coeffs
+        self._hash = None
 
     @classmethod
     def euler(cls, n):
@@ -137,7 +138,9 @@ class Derivation:
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        if self._hash is None:  # memo lookups hash the same derivation often
+            self._hash = hash((self.n, self.coeffs))
+        return self._hash
 
     def __repr__(self):
         parts = [

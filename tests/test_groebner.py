@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import coinvarr.groebner as groebner
+from coinvarr.arrangements import Arrangement, enumerate_southwest
+from coinvarr.derivations import southwest_basis, st_ideal
 from coinvarr.groebner import (
     Ideal,
     _packing,
@@ -229,6 +231,105 @@ def test_stored_rows_are_primitive_with_positive_leads(monkeypatch):
         assert math.gcd(*t.values()) == 1
         assert lead == max(t) and raw == pk.raw(lead)
         assert lc == t[lead] > 0
+
+
+EXAMPLE5 = Arrangement(
+    5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (2, 5)]
+)
+
+
+def _southwest_generators(top):
+    """Solomon–Terao generators of each essential southwest arrangement, n <= top."""
+    return [
+        list(st_ideal(A, southwest_basis(A)).gens)
+        for n in range(1, top + 1)
+        for A in enumerate_southwest(n, essential_only=True)
+    ]
+
+
+def test_solomon_terao_bases_match_the_reference():
+    # the ideals the southwest suites build, under the order they use
+    example = list(st_ideal(EXAMPLE5, southwest_basis(EXAMPLE5)).gens)
+    for gens in [*_southwest_generators(4), example]:
+        gb = groebner_basis(gens)
+        assert [g.terms for g in gb] == _ref_groebner(gens, grevlex_key)
+
+
+def test_arriving_generators_match_the_reference():
+    # a generator enters as a pair: made primitive, reduced against the rows
+    # held so far and stored only if nonzero; lists with repeats, scalar
+    # multiples, zeros and a member of the others' ideal exercise each path
+    rng = random.Random(6151)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        degree = 2 if n < 4 else 1  # lex bases of quadrics at n = 4 take seconds
+        gens = [_random_rational(rng, n, degree, 3) for _ in range(rng.randint(2, 3))]
+        a, b = gens[0], gens[-1]
+        f = _random_rational(rng, n, 1, 2)
+        extra = [
+            a,
+            a * Polynomial.constant(n, Fraction(rng.choice((-3, 2)), 5)),
+            Polynomial.zero(n),
+            a * f + b * _random_sparse(rng, n, 1, 2),
+        ]
+        gens = rng.sample(gens + extra, len(gens) + len(extra))
+        for key, blocks in (
+            (grevlex_key, (n,)),
+            (_lex_key, (1,) * n),
+            (elim_key(1), (1, n - 1)),
+        ):
+            gb = groebner_basis(gens, blocks=blocks)
+            assert [g.terms for g in gb] == _ref_groebner(gens, key)
+            for g in gb:
+                _assert_clean(g.terms)
+
+
+def test_coprime_leads_reduce_no_s_pair(monkeypatch):
+    # pairwise coprime grevlex leads settle every pair at once: the only
+    # reductions are one per arriving generator and one per basis element
+    calls = []
+    real = groebner._nf_dict
+
+    def counting(t, heap, rows, pk):
+        calls.append(t)
+        return real(t, heap, rows, pk)
+
+    monkeypatch.setattr(groebner, "_nf_dict", counting)
+    rng = random.Random(7321)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        gens = []
+        for k in range(n):
+            lead = tuple(k + 1 if i == k else 0 for i in range(n))
+            # a tail below the lead's degree k + 1 keeps the lead x_k^(k+1)
+            tail = _random_sparse(rng, n, 1, 3)
+            tail = Polynomial(n, {e: c for e, c in tail.terms.items() if sum(e) <= k})
+            gens.append(Polynomial.monomial(n, lead, rng.choice((1, 2, -3))) + tail)
+        calls.clear()
+        gb = groebner_basis(gens)
+        assert [g.leading()[0] for g in gb] == sorted(
+            (g.leading()[0] for g in gens), key=grevlex_key, reverse=True
+        )
+        assert len(calls) == 2 * n
+        assert [g.terms for g in gb] == _ref_groebner(gens, grevlex_key)
+
+
+def test_southwest_bases_store_only_their_own_rows(monkeypatch):
+    # a generator is stored only after it is reduced against the rows held
+    # so far, so the n <= 4 southwest ideals store exactly the rows of their
+    # reduced bases: 385, against 558 when every generator was stored as given
+    ideals = _southwest_generators(4)
+    rows = []
+    real = groebner._row
+
+    def counting(pk, t):
+        rows.append(t)
+        return real(pk, t)
+
+    monkeypatch.setattr(groebner, "_row", counting)
+    sizes = [len(groebner_basis(gens)) for gens in ideals]
+    assert len(ideals) == 88
+    assert len(rows) == sum(sizes) == 385
 
 
 def test_packed_monomials_follow_the_block_orders():
